@@ -9,6 +9,7 @@ reproducible bit-for-bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -187,62 +188,110 @@ def operator_norm(a, tol: float | None = None, restarts: int = 3,
         tol, restarts, max_iter, "power iteration")
 
 
+def _column_norms_squared(rows: np.ndarray) -> np.ndarray:
+    return np.real(np.einsum("ij,ij->i", rows.conj(), rows))
+
+
+@functools.lru_cache(maxsize=16)
+def _round_robin(n: int) -> tuple:
+    """Brent-Luk tournament schedule for the columns 0..n-1.
+
+    Returns n-1 rounds for even n and n rounds for odd n (where a phantom
+    column n gives each real column one bye).  A round is a read-only (k, 2)
+    index array of disjoint pairs (p, q) with p < q; every such pair occurs in
+    exactly one round.
+    """
+    players = list(range(n + n % 2))
+    half = len(players) // 2
+    rounds = []
+    for _ in range(len(players) - 1):
+        pairs = sorted((min(x, y), max(x, y))
+                       for x, y in zip(players[:half], reversed(players[half:]))
+                       if max(x, y) < n)
+        pq = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+        pq.flags.writeable = False
+        rounds.append(pq)
+        players.insert(1, players.pop())
+    return tuple(rounds)
+
+
 def jacobi_svd(a, tol: float = 1e-14, max_sweeps: int = 60):
-    """One-sided Jacobi SVD of a (possibly rectangular) matrix.
+    """One-sided (Hestenes) Jacobi SVD of a (possibly rectangular) matrix.
 
     Returns (singular values in decreasing order, right singular vectors as
     columns).  Column pairs are orthogonalised by unitary plane rotations; at
-    convergence the singular values are the column norms.  This path shares no
-    code with `operator_norm` and serves as its independent oracle.
+    convergence the singular values are the column norms.
+
+    A sweep visits every column pair once, in the round-robin (tournament)
+    order of Brent & Luk (1985): about n rounds of n/2 disjoint pairs.  The
+    rotations of one round touch disjoint columns and commute, so a round is
+    one vectorized step: one einsum gives the pair inner products, the
+    rotation parameters are arrays, and one batched 2x2 product rotates the
+    columns of A and V together.  A sweep still costs O(n^2 (m + n)) flops,
+    but in about n numpy steps instead of n(n-1)/2 interpreted ones.
+
+    The tracked squared column norms are re-anchored to exact ones after every
+    sweep: within a sweep they lose relative accuracy once a column shrinks
+    below sqrt(eps) of its start, which would leave the zero singular values
+    of rank-deficient inputs near 1e-8 times the largest.
+
+    This path uses only column inner products and plane rotations -- no LAPACK
+    factorisation and no code shared with `operator_norm` -- so it serves as
+    the independent oracle for the power-iteration norms.
     """
-    a = np.array(as_array(a), dtype=complex)
+    a = as_array(a)
     if a.ndim != 2:
         raise ValueError("expected a matrix")
-    _validate_finite(a)
     m, n = a.shape
-    # cost guard: a sweep costs ~ n^2 m / 2, capped at the square 512 budget
+    # cost guard, before any copy: a sweep costs ~ n^2 m / 2, capped at the
+    # square 512 budget
     if n > SVD_ORACLE_MAX_DIM or m * n * n > SVD_ORACLE_MAX_DIM**3:
         raise ValueError(
             f"shape {a.shape} exceeds the Jacobi oracle cost guard "
             f"({SVD_ORACLE_MAX_DIM} square equivalent)")
-    v = np.eye(n, dtype=complex)
-    if n == 1:
-        return np.array([float(np.linalg.norm(a[:, 0]))]), v
-    sq = np.real(np.einsum("ij,ij->j", a.conj(), a)).copy()
+    a = np.array(a, dtype=complex)
+    _validate_finite(a)
+    # Row j of w is column j of A followed by column j of V, so one gather and
+    # one scatter per round rotate both.
+    w = np.concatenate([a.T, np.eye(n, dtype=complex)], axis=1)
+    sq = _column_norms_squared(w[:, :m])
     for _ in range(max_sweeps):
         off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                app, aqq = sq[p], sq[q]
-                scale = math.sqrt(app * aqq)
-                if scale == 0.0:
-                    continue
-                apq = complex(np.vdot(a[:, p], a[:, q]))
-                g = abs(apq)
-                if g <= tol * scale:
-                    continue
-                off = max(off, g / scale)
-                phase = apq / g
-                tau = (aqq - app) / (2.0 * g)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.array([[c, s], [-s * np.conj(phase), c * np.conj(phase)]])
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                v[:, [p, q]] = v[:, [p, q]] @ rot
-                sq[p] = max(app - t * g, 0.0)
-                sq[q] = max(aqq + t * g, 0.0)
+        for pq in _round_robin(n):
+            wpq = w[pq]
+            apq = np.einsum("ij,ij->i", wpq[:, 0, :m].conj(), wpq[:, 1, :m])
+            app, aqq = sq[pq].T
+            scale = np.sqrt(app * aqq)
+            g = np.abs(apq)
+            act = (scale > 0.0) & (g > tol * scale)
+            active = np.count_nonzero(act)
+            if active == 0:
+                continue
+            if active < len(act):
+                pq, wpq, apq, app, aqq, scale, g = (
+                    x[act] for x in (pq, wpq, apq, app, aqq, scale, g))
+            off = max(off, float(np.max(g / scale)))
+            tau = (aqq - app) / (2.0 * g)
+            # t = sign(tau) / (|tau| + sqrt(1 + tau^2)), with sign(0) = +1
+            t = np.copysign(1.0 / (np.abs(tau) + np.hypot(1.0, tau)), tau)
+            c = 1.0 / np.hypot(1.0, t)
+            s = t * c
+            # rows p, q <- [[c, -s*phase], [s, c*phase]] @ rows p, q
+            phase = np.conj(apq) / g
+            rot = np.stack([c, -s * phase, s, c * phase], axis=1).reshape(-1, 2, 2)
+            w[pq] = rot @ wpq
+            tg = t * g
+            sq[pq] = np.maximum(np.stack([app - tg, aqq + tg], axis=1), 0.0)
         if off <= tol:
             break
+        # re-anchor (see the docstring); LAPACK's xGESVJ also recomputes drifted norms
+        sq = _column_norms_squared(w[:, :m])
     else:
         raise ConvergenceError(
             f"Jacobi sweeps did not converge within {max_sweeps} sweeps", math.sqrt(max(sq)))
-    sigmas = np.linalg.norm(a, axis=0)
+    sigmas = np.linalg.norm(w[:, :m], axis=1)
     order = np.argsort(sigmas)[::-1]
-    return sigmas[order], v[:, order]
+    return sigmas[order], w[order, m:].T
 
 
 def svd_oracle(a) -> float:
