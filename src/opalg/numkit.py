@@ -82,9 +82,9 @@ class ComplexMatrix:
         return self.entries.shape[0]
 
     def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self.entries
-        return self.entries.astype(dtype)
+        # numpy 2 passes copy: True must copy, False must not, None copies
+        # only for a dtype change
+        return np.array(self.entries, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True)
@@ -370,13 +370,19 @@ def toeplitz_operator_norm(first_column, tol: float = 1e-10, restarts: int = 2,
     """Largest singular value of the lower-triangular Toeplitz matrix with the
     given first column, without materialising it.
 
-    Matrix-vector products are causal convolutions evaluated by FFT, so the
-    cost per iteration is O(N log N); this is the norm kernel for huge
-    discretizations.
+    Matrix-vector products are causal convolutions evaluated by FFT at a
+    power-of-two length of at least 2N, so the cost per iteration is
+    O(N log N); this is the norm kernel for huge discretizations.  A real (or
+    integer) column stays float64 and uses the half-spectrum `rfft`/`irfft`
+    pair, and power iteration starts from the same real seeded vectors as
+    `operator_norm` on the dense real matrix.  A complex column uses
+    `fft`/`ifft` and complex starts.
     """
-    col = np.asarray(first_column, dtype=complex)
+    col = np.asarray(first_column)
     if col.ndim != 1 or col.size == 0:
         raise ValueError("first_column must be a nonempty vector")
+    is_complex = np.iscomplexobj(col)
+    col = col.astype(complex if is_complex else float)
     _validate_finite(col)
     n = col.size
     if tol < _EPS * n:
@@ -384,13 +390,15 @@ def toeplitz_operator_norm(first_column, tol: float = 1e-10, restarts: int = 2,
     length = 1
     while length < 2 * n:
         length *= 2
-    chat = np.fft.fft(col, length)
+    forward, inverse = ((np.fft.fft, np.fft.ifft) if is_complex
+                        else (np.fft.rfft, np.fft.irfft))
+    chat = forward(col, length)
 
     def matvec(v):
-        return np.fft.ifft(chat * np.fft.fft(v, length))[:n]
+        return inverse(chat * forward(v, length), length)[:n]
 
     def rmatvec(v):
-        return np.fft.ifft(np.conj(chat) * np.fft.fft(v, length))[:n]
+        return inverse(np.conj(chat) * forward(v, length), length)[:n]
 
-    return _power_iterate(matvec, rmatvec, n, True, tol, restarts, max_iter,
+    return _power_iterate(matvec, rmatvec, n, is_complex, tol, restarts, max_iter,
                           "Toeplitz power iteration")

@@ -142,15 +142,21 @@ def kernel_step(pieces, n: int) -> SampledKernel:
     mu = np.zeros(n)
     absc = np.zeros(n)
     sharp = np.zeros(n)
-    for a, b, v in cleaned:
-        lo = np.maximum(edges_lo, a)
-        hi = np.minimum(edges_hi, b)
-        length = np.maximum(0.0, hi - lo)
-        mu += v * length
-        absc += abs(v) * length
+    # The windows are sorted, so the cells whose window meets [a, b) are the
+    # slice from the first window ending after a to the last one starting
+    # before b.  Every overlap in it has positive length; every cell outside
+    # it would only receive an exact zero.
+    starts = np.searchsorted(edges_hi, [a for a, _, _ in cleaned], side="right")
+    stops = np.searchsorted(edges_lo, [b for _, b, _ in cleaned], side="left")
+    for (a, b, v), i, j in zip(cleaned, starts, stops):
+        cells = slice(i, j)
+        lo = np.maximum(edges_lo[cells], a)
+        hi = np.minimum(edges_hi[cells], b)
+        length = hi - lo
+        mu[cells] += v * length
+        absc[cells] += abs(v) * length
         # exact integral of v^2 (1 - t) over each overlap
-        sharp += np.where(length > 0.0,
-                          v * v * ((1.0 - lo) ** 2 - (1.0 - hi) ** 2) / 2.0, 0.0)
+        sharp[cells] += v * v * ((1.0 - lo) ** 2 - (1.0 - hi) ** 2) / 2.0
     return SampledKernel(n, MODE_EXACT, mu, absc, sharp, tuple(cleaned))
 
 

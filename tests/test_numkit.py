@@ -24,6 +24,7 @@ from opalg.numkit import (
     svd_oracle,
     toeplitz_operator_norm,
 )
+from opalg.volterra import kernel_notell1
 
 
 def volterra_matrix(n):
@@ -86,6 +87,16 @@ class TestComplexMatrix:
     def test_array_interface(self):
         m = ComplexMatrix(np.eye(2))
         assert np.allclose(np.asarray(m), np.eye(2))
+
+    def test_array_copy_is_honoured(self):
+        m = ComplexMatrix(volterra_matrix(4), LOWER_TRIANGULAR_TOEPLITZ)
+        c = np.array(m)
+        c[0, 3] = 7.0
+        assert m.entries[0, 3] == 0.0
+        assert np.asarray(m) is m.entries
+        assert not np.shares_memory(np.array(m, dtype=complex), m.entries)
+        with pytest.raises(ValueError):
+            np.asarray(m, dtype=complex, copy=False)
 
 
 class TestOperatorNorm:
@@ -345,3 +356,34 @@ class TestToeplitzNorm:
 
     def test_zero_column(self):
         assert toeplitz_operator_norm(np.zeros(8)) == 0.0
+
+    @pytest.mark.parametrize("col", [np.random.default_rng(5).standard_normal(40),
+                                     np.arange(1, 9)], ids=["float", "int"])
+    def test_real_column_uses_real_transforms(self, col, monkeypatch):
+        expected = toeplitz_operator_norm(col.astype(float))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("complex FFT called")
+
+        monkeypatch.setattr(np.fft, "fft", forbidden)
+        monkeypatch.setattr(np.fft, "ifft", forbidden)
+        assert toeplitz_operator_norm(col) == expected
+        with pytest.raises(AssertionError, match="complex FFT"):
+            toeplitz_operator_norm(col.astype(complex))
+
+    def test_real_column_matches_complex_twin(self):
+        tol = 1e-10
+        rng = np.random.default_rng(21)
+        col = rng.standard_normal(200)
+        assert toeplitz_operator_norm(col, tol=tol) == pytest.approx(
+            toeplitz_operator_norm(col.astype(complex), tol=tol), rel=tol)
+
+    @pytest.mark.parametrize("col", [volterra_matrix(64)[:, 0],
+                                     kernel_notell1(4, 128).mu],
+                             ids=["volterra64", "notell1-4-128"])
+    def test_real_column_starts_like_dense(self, col):
+        n = col.size
+        idx = np.arange(n)[:, None] - np.arange(n)[None, :]
+        dense = np.where(idx >= 0, col[np.clip(idx, 0, n - 1)], 0.0)
+        assert toeplitz_operator_norm(col, tol=1e-12, restarts=3) == pytest.approx(
+            operator_norm(dense, tol=1e-12, restarts=3), abs=1e-12)

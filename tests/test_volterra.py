@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from opalg.numkit import operator_norm
 from opalg.volterra import (
+    _window_edges,
     build_vf,
     convolve,
     frobenius_norm,
@@ -33,6 +36,54 @@ from opalg.volterra import (
     unbounded_witness_check,
     v2_exact,
 )
+
+
+def kernel_step_reference(pieces, n):
+    """kernel_step's cell data with every piece swept over all n cells."""
+    edges_lo, edges_hi = _window_edges(n)
+    mu, absc, sharp = np.zeros(n), np.zeros(n), np.zeros(n)
+    for a, b, v in sorted(pieces):
+        lo = np.maximum(edges_lo, a)
+        hi = np.minimum(edges_hi, b)
+        length = np.maximum(0.0, hi - lo)
+        mu += v * length
+        absc += abs(v) * length
+        sharp += np.where(length > 0.0,
+                          v * v * ((1.0 - lo) ** 2 - (1.0 - hi) ** 2) / 2.0, 0.0)
+    return mu, absc, sharp
+
+
+@st.composite
+def step_inputs(draw):
+    """A grid size n in [1, 512] and 1-6 disjoint pieces.
+
+    Piece ends are grid-aligned (multiples of h/2, so window edges and cell
+    centres), arbitrary, or a sub-cell distance after another end; adjacent
+    kept intervals give touching pieces.
+    """
+    n = draw(st.integers(1, 512))
+    h = 1.0 / n
+    aligned = st.integers(0, 2 * n).map(lambda i: i / (2 * n))
+    cuts = draw(st.lists(st.one_of(aligned, st.floats(0.0, 1.0)), min_size=1, max_size=7))
+    for c in draw(st.lists(st.sampled_from(cuts), max_size=3)):
+        cuts.append(min(1.0, c + draw(st.floats(0.0, 1.0, exclude_min=True)) * h))
+    cuts = sorted(set(cuts))
+    assume(len(cuts) >= 2)
+    intervals = list(zip(cuts, cuts[1:]))
+    kept = draw(st.lists(st.sampled_from(intervals), min_size=1, max_size=6, unique=True))
+    values = draw(st.lists(st.floats(-8.0, 8.0), min_size=len(kept), max_size=len(kept)))
+    return n, [(a, b, v) for (a, b), v in zip(kept, values)]
+
+
+class TestKernelStep:
+    @settings(deadline=None, derandomize=True)
+    @given(step_inputs())
+    def test_matches_all_cells_reference(self, inputs):
+        n, pieces = inputs
+        f = kernel_step(pieces, n)
+        for got, want in zip((f.mu, f.abs_cells, f.sharp_cells),
+                             kernel_step_reference(pieces, n)):
+            assert np.array_equal(got, want)
 
 
 class TestBuildVf:
