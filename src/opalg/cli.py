@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gauge, shift, volterra
-from .numkit import CircleGrid, ConvergenceError, operator_norm
+from .numkit import CircleGrid, ConvergenceError, operator_norm, toeplitz_operator_norm
 from .report import ExperimentReport
 
 
@@ -93,7 +93,7 @@ def run_notell1(config: ExperimentConfig) -> ExperimentReport:
     square_sum = 1.5 * math.fsum(1.0 / (k * k) for k in range(1, m + 1))
     l1 = f.l1_partial(1.0 - 2.0 ** (-m))
     sharp_sq = volterra.hs_norm(f) ** 2
-    sigma = volterra.kernel_norm(f, tol=1e-9, restarts=2)
+    sigma = toeplitz_operator_norm(f.mu, tol=1e-9, restarts=2)
     r["dim"] = n
     rep = ExperimentReport("notell1", _echo_params(config, r))
     rep.add("l1_partial_mass", l1)
@@ -215,8 +215,8 @@ def run_titchmarsh(config: ExperimentConfig) -> ExperimentReport:
     for dim in (n // 2, n, 2 * n):
         f = volterra.kernel_monomial(-0.5, dim)
         target = volterra.kernel_constant(math.pi, dim)
-        prod = (volterra.build_vf(f, dim).matrix.entries
-                @ volterra.build_vf(f, dim).matrix.entries)
+        vf = volterra.build_vf(f, dim).matrix.entries
+        prod = vf @ vf
         err = operator_norm(volterra.build_vf(target, dim).matrix.entries - prod,
                             tol=1e-8)
         errors.append(err)

@@ -12,7 +12,7 @@ powers, and a norm asymmetry under the phase scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

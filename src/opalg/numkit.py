@@ -1,5 +1,5 @@
-"""Foundation numerics: structured complex matrices, operator 2-norm estimation
-with an independent SVD oracle, quadrature on the unit circle, and bracketed
+"""Foundation numerics: square complex matrices, operator 2-norm estimation
+with an independent SVD oracle, the roots-of-unity node grid, and bracketed
 root finding.
 
 Everything here is a pure function on immutable inputs; all randomness
@@ -14,12 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-DENSE = "dense"
-LOWER_TRIANGULAR = "lower_triangular"
-LOWER_TRIANGULAR_TOEPLITZ = "lower_triangular_toeplitz"
-
-_STRUCTURES = (DENSE, LOWER_TRIANGULAR, LOWER_TRIANGULAR_TOEPLITZ)
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -49,32 +43,14 @@ def as_array(a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ComplexMatrix:
-    """A square matrix together with a structural claim.
-
-    The claim is validated on construction: ``lower_triangular`` demands exact
-    zeros above the main diagonal, ``lower_triangular_toeplitz`` additionally
-    demands constant sub-diagonal bands.
-    """
+    """A square matrix; the shape is validated on construction."""
 
     entries: np.ndarray
-    structure: str = DENSE
 
     def __post_init__(self):
         e = np.asarray(self.entries)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {e.shape}")
-        if self.structure not in _STRUCTURES:
-            raise ValueError(f"unknown structure tag {self.structure!r}")
-        if self.structure in (LOWER_TRIANGULAR, LOWER_TRIANGULAR_TOEPLITZ):
-            if np.any(np.triu(e, k=1) != 0):
-                raise ValueError("entries above the diagonal are not exactly zero")
-        if self.structure == LOWER_TRIANGULAR_TOEPLITZ:
-            n = e.shape[0]
-            first = e[:, 0]
-            idx = np.arange(n)[:, None] - np.arange(n)[None, :]
-            expect = np.where(idx >= 0, first[np.clip(idx, 0, n - 1)], 0)
-            if np.any(e != expect):
-                raise ValueError("sub-diagonal bands are not constant")
         object.__setattr__(self, "entries", e)
 
     @property
@@ -128,6 +104,10 @@ def _power_iterate(matvec, rmatvec, n, complex_start, tol, restarts, max_iter, l
     consecutive steps.  Every estimate is of the form ||Av|| for a unit v,
     hence a certified lower bound on the norm.
     """
+    if tol < _EPS * n:
+        raise ValueError(f"tol={tol} below machine resolution eps*N={_EPS * n}")
+    if restarts < 1:
+        raise ValueError("restarts must be positive")
     best = 0.0
     for restart in range(1, restarts + 1):
         rng = np.random.default_rng(restart)
@@ -178,10 +158,6 @@ def operator_norm(a, tol: float | None = None, restarts: int = 3,
     n = a.shape[0]
     if tol is None:
         tol = max(1e-13, 4.0 * _EPS * n)
-    if tol < _EPS * n:
-        raise ValueError(f"tol={tol} below machine resolution eps*N={_EPS * n}")
-    if restarts < 1:
-        raise ValueError("restarts must be positive")
     adj = a.conj().T.copy()
     return _power_iterate(
         lambda v: a @ v, lambda w: adj @ w, n, np.iscomplexobj(a),
@@ -300,26 +276,6 @@ def svd_oracle(a) -> float:
     return float(sigmas[0])
 
 
-def circle_integral(samples, k: int) -> np.ndarray:
-    """(1/M) * sum_m value_m * lambda_m^(-k) over full-circle samples.
-
-    Exact (up to rounding) whenever the lambda-dependence of the samples is a
-    trigonometric polynomial of degree below M in each entry.
-    """
-    nodes = np.asarray([lam for lam, _ in samples], dtype=complex)
-    values = [as_array(val) for _, val in samples]
-    if not values:
-        raise ValueError("no samples")
-    shape = values[0].shape
-    if any(v.shape != shape for v in values):
-        raise ValueError("sample matrices have mismatched dimensions")
-    if np.any(np.abs(np.abs(nodes) - 1.0) > 1e-12):
-        raise ValueError("sample nodes are not on the unit circle")
-    stack = np.stack(values).astype(complex)
-    weights = nodes ** (-k)
-    return np.tensordot(weights, stack, axes=(0, 0)) / len(nodes)
-
-
 def find_root(f, bracket, tol: float) -> RootSolve:
     """Bisection on a sign-changing bracket.
 
@@ -385,8 +341,6 @@ def toeplitz_operator_norm(first_column, tol: float = 1e-10, restarts: int = 2,
     col = col.astype(complex if is_complex else float)
     _validate_finite(col)
     n = col.size
-    if tol < _EPS * n:
-        raise ValueError(f"tol={tol} below machine resolution eps*N={_EPS * n}")
     length = 1
     while length < 2 * n:
         length *= 2

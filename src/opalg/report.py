@@ -34,12 +34,6 @@ class ExperimentReport:
         self.flags.append((str(label), ok))
         return ok
 
-    def extend(self, other: "ExperimentReport", prefix: str = ""):
-        for label, value in other.rows:
-            self.add(prefix + label, value)
-        for label, ok in other.flags:
-            self.check(prefix + label, ok)
-
     @property
     def passed(self) -> bool:
         return all(ok for _, ok in self.flags)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauge import FourierSeries, default_threshold
-from .numkit import LOWER_TRIANGULAR, ComplexMatrix, as_array, operator_norm
+from .numkit import ComplexMatrix, as_array, operator_norm
 from .report import ExperimentReport
 
 HARMONIC = "harmonic"
@@ -126,7 +126,7 @@ def build_shift(weights: WeightSequence, n: int) -> ShiftTruncation:
     vals = weights.materialized(n - 1)
     m = np.zeros((n, n), dtype=complex)
     m[np.arange(1, n), np.arange(n - 1)] = vals
-    return ShiftTruncation(weights, n, ComplexMatrix(m, LOWER_TRIANGULAR))
+    return ShiftTruncation(weights, n, ComplexMatrix(m))
 
 
 def vector_norm_at_e0(s) -> float:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numkit import (
-    LOWER_TRIANGULAR_TOEPLITZ,
     ComplexMatrix,
     as_array,
     find_root,
@@ -32,8 +31,8 @@ from .numkit import (
 )
 from .report import ExperimentReport
 
-# Largest dimension we materialize densely; beyond this use kernel_norm,
-# which power-iterates with FFT matvecs and never builds the matrix.
+# Largest dimension we materialize densely; beyond this norms power-iterate
+# with FFT matvecs on the first column and never build the matrix.
 MAX_DENSE_DIM = 4096
 
 MODE_EXACT = "exact-cell-integral"
@@ -200,18 +199,6 @@ def kernel_polynomial(coeffs, n: int) -> SampledKernel:
     return SampledKernel(n, MODE_EXACT, kern.mu, np.abs(kern.mu), kern.sharp_cells)
 
 
-def kernel_from_function(f, n: int) -> SampledKernel:
-    """Midpoint-sampled cells: mu_k = f(center of window k) * window width."""
-    edges_lo, edges_hi = _window_edges(n)
-    centers = 0.5 * (edges_lo + edges_hi)
-    widths = edges_hi - edges_lo
-    vals = np.asarray([f(c) for c in centers], dtype=float)
-    mu = vals * widths
-    absc = np.abs(vals) * widths
-    sharp = vals * vals * (1.0 - centers) * widths
-    return SampledKernel(n, MODE_MIDPOINT, mu, absc, sharp)
-
-
 def kernel_notell1(m: int, n: int) -> SampledKernel:
     """The truncated series of blocks (2^j / j) on [1 - 2^(1-j), 1 - 2^(-j)).
 
@@ -283,18 +270,19 @@ def build_vf(f: SampledKernel, n: int) -> VolterraDiscretization:
         raise ValueError(f"kernel lives on a grid of size {f.grid_size}, not {n}")
     if n > MAX_DENSE_DIM:
         raise ValueError(
-            f"dim {n} exceeds the dense guard {MAX_DENSE_DIM}; use kernel_norm")
+            f"dim {n} exceeds the dense guard {MAX_DENSE_DIM}; "
+            "use toeplitz_operator_norm on the kernel's cells")
     idx = np.arange(n)[:, None] - np.arange(n)[None, :]
     entries = np.where(idx >= 0, f.mu[np.clip(idx, 0, n - 1)], 0.0)
-    return VolterraDiscretization(f, n, ComplexMatrix(entries, LOWER_TRIANGULAR_TOEPLITZ))
+    return VolterraDiscretization(f, n, ComplexMatrix(entries))
 
 
-def kernel_norm(f: SampledKernel, tol: float = 1e-10, restarts: int = 2) -> float:
-    """Largest singular value of the convolution matrix, via FFT matvecs.
-
-    Works at any grid size without materializing the matrix.
-    """
-    return toeplitz_operator_norm(f.mu, tol=tol, restarts=restarts)
+def _sigma_max(f: SampledKernel, n: int) -> float:
+    """Largest singular value of the convolution matrix at grid size n: dense
+    power iteration up to MAX_DENSE_DIM, FFT matvecs on the cells beyond."""
+    if n <= MAX_DENSE_DIM:
+        return operator_norm(build_vf(f, n).matrix)
+    return toeplitz_operator_norm(f.mu)
 
 
 def convolve(f: SampledKernel, g: SampledKernel) -> SampledKernel:
@@ -353,10 +341,7 @@ def power_kernel_check(p: int, n: int) -> ExperimentReport:
 def l1_norm_bound_check(f: SampledKernel, n: int) -> ExperimentReport:
     """sigma_max of the convolution matrix never exceeds the l1 cell mass."""
     bound = float(np.sum(np.abs(f.mu)))
-    if n <= MAX_DENSE_DIM:
-        sigma = operator_norm(build_vf(f, n).matrix)
-    else:
-        sigma = kernel_norm(f)
+    sigma = _sigma_max(f, n)
     rep = ExperimentReport("l1-bound", {"dim": n, "mode": f.mode})
     rep.add("sigma_max", sigma)
     rep.add("l1_cell_mass", bound)
@@ -469,11 +454,7 @@ def titchmarsh_alpha(f: SampledKernel, g: SampledKernel, tol: float = 1e-10):
     """From a numerically vanishing convolution, recover complementary
     support starts: alpha + beta >= 1 - 2/N on the grid."""
     n = f.grid_size
-    conv = convolve(f, g)
-    if n <= MAX_DENSE_DIM:
-        sigma = operator_norm(build_vf(conv, n).matrix)
-    else:
-        sigma = kernel_norm(conv)
+    sigma = _sigma_max(convolve(f, g), n)
     if sigma >= tol:
         raise ValueError(
             f"convolution is not numerically zero: sigma_max = {sigma}")
@@ -582,11 +563,7 @@ def unbounded_witness_check(n_list) -> ExperimentReport:
     rep = ExperimentReport("unbounded-witness", {"dims": ",".join(map(str, n_list))})
     sigmas = []
     for n in n_list:
-        f = kernel_singular32(n)
-        if n <= MAX_DENSE_DIM:
-            sigma = operator_norm(build_vf(f, n).matrix)
-        else:
-            sigma = kernel_norm(f)
+        sigma = _sigma_max(kernel_singular32(n), n)
         sigmas.append(sigma)
         rep.add(f"sigma_dim_{n}", sigma)
     rep.add("kf_double_integral", 2.0)  # closed form: 2 int (1-x)^(-1/2) - 2 dx

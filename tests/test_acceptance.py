@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from opalg import gauge, shift, volterra
+from opalg.cli import ExperimentConfig, run_experiment
 from opalg.numkit import CircleGrid, operator_norm, svd_oracle
 
 
@@ -30,11 +31,6 @@ def report_line(num, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def v2_values():
-    return volterra.v2_exact()
-
-
-@pytest.fixture(scope="module")
 def shift_corpus():
     """50 seeded random polynomials in the harmonic shift at N = 64."""
     t = shift.build_shift(shift.harmonic_weights(64), 64)
@@ -42,15 +38,12 @@ def shift_corpus():
     return t, polys
 
 
-def test_criterion_01_v2_transcendental_identity(v2_values):
+def test_criterion_01_v2_transcendental_identity():
     start = time.monotonic()
-    eta, nrm = v2_values
-    residual = abs(math.cosh(eta) * math.cos(eta) + 1.0)
-    errors = []
-    for n in (250, 500, 1000):
-        v = volterra.build_vf(volterra.kernel_constant(1.0, n), n).matrix.entries
-        errors.append(abs(operator_norm(v @ v) - nrm))
+    rep = run_experiment(ExperimentConfig("v2norm", dim=1000))
     elapsed = time.monotonic() - start
+    residual = rep.value("eta0_residual")
+    errors = [rep.value(f"error_dim_{n}") for n in (250, 500, 1000)]
     ok = (residual < 1e-10 and errors[-1] <= 1e-2
           and errors[2] < errors[1] < errors[0] and elapsed < 60.0)
     report_line(1, ok, f"|V^2| as eta0^-2: residual={residual:.2e}, "
@@ -82,13 +75,12 @@ def test_criterion_03_littlereade_trend():
 
 def test_criterion_04_notell1():
     m = 20
-    n = 2**m
-    f = volterra.kernel_notell1(m, n)
+    rep = run_experiment(ExperimentConfig("notell1", nmax=m))
     harmonic_sum = math.fsum(1.0 / k for k in range(1, m + 1))
     square_sum = 1.5 * math.fsum(1.0 / (k * k) for k in range(1, m + 1))
-    l1 = f.l1_partial(1.0 - 2.0 ** (-m))
-    sharp_sq = volterra.hs_norm(f) ** 2
-    sigma = volterra.kernel_norm(f, tol=1e-9, restarts=2)
+    l1 = rep.value("l1_partial_mass")
+    sharp_sq = rep.value("sharp_norm_squared")
+    sigma = rep.value("sigma_max")
     ok = (abs(l1 - harmonic_sum) <= 1e-12
           and abs(sharp_sq - square_sum) <= 1e-12
           and abs(sharp_sq - math.pi**2 / 4.0) < 0.08
@@ -161,20 +153,10 @@ def test_criterion_07_norm_equivalence_and_inequivalence():
 
 
 def test_criterion_08_ideal_machinery():
+    neumann = run_experiment(ExperimentConfig("neumann", dim=32, nmax=20, seed=4040))
+    worst = neumann.value("worst_relative_discrepancy")
+    neumann_ok = neumann.passed
     t = shift.build_shift(shift.harmonic_weights(32), 32)
-    neumann_ok = True
-    worst = 0.0
-    for trial in range(20):
-        rng = np.random.default_rng([4040, trial])
-        k = int(rng.integers(1, 4))
-        degree = k + int(rng.integers(1, 7))
-        coeffs = np.zeros(degree, dtype=complex)
-        coeffs[k - 1] = 1.0
-        coeffs[k:] = (rng.standard_normal(degree - k)
-                      + 1j * rng.standard_normal(degree - k)) / math.sqrt(2.0)
-        rep = shift.neumann_factor_check(shift.polynomial_in(t, coeffs), k, t)
-        worst = max(worst, rep.value("relative_discrepancy"))
-        neumann_ok = neumann_ok and rep.passed
     additive_ok = True
     for trial in range(50):
         rng = np.random.default_rng([5050, trial])
@@ -211,8 +193,8 @@ def test_criterion_09_support_arithmetic():
     errors = []
     for dim in (128, 256, 512):
         f = volterra.kernel_monomial(-0.5, dim)
-        prod = (volterra.build_vf(f, dim).matrix.entries
-                @ volterra.build_vf(f, dim).matrix.entries)
+        vf = volterra.build_vf(f, dim).matrix.entries
+        prod = vf @ vf
         target = volterra.build_vf(volterra.kernel_constant(math.pi, dim), dim)
         errors.append(operator_norm(target.matrix.entries - prod, tol=1e-8))
     ratios = [a / b for a, b in zip(errors, errors[1:])]
@@ -224,7 +206,7 @@ def test_criterion_09_support_arithmetic():
     assert ok
 
 
-def test_criterion_10_muntz_no_gauge(v2_values):
+def test_criterion_10_muntz_no_gauge():
     rep = volterra.muntz_no_gauge_demo(12, 1000)
     eps = rep.value("sup_fit_error")
     sigma = rep.value("operator_discrepancy")

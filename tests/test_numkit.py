@@ -10,14 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opalg.numkit import (
-    DENSE,
-    LOWER_TRIANGULAR,
-    LOWER_TRIANGULAR_TOEPLITZ,
-    CircleGrid,
     ComplexMatrix,
     ConvergenceError,
     _round_robin,
-    circle_integral,
     find_root,
     jacobi_svd,
     operator_norm,
@@ -62,34 +57,19 @@ def svd_inputs(draw):
 
 class TestComplexMatrix:
     def test_dense_accepts_anything_square(self):
-        m = ComplexMatrix(np.ones((3, 3)), DENSE)
+        m = ComplexMatrix(np.ones((3, 3)))
         assert m.dim == 3
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             ComplexMatrix(np.ones((2, 3)))
 
-    def test_lower_triangular_tag_is_checked(self):
-        good = np.tril(np.ones((4, 4)))
-        ComplexMatrix(good, LOWER_TRIANGULAR)
-        bad = good.copy()
-        bad[0, 3] = 1e-30
-        with pytest.raises(ValueError):
-            ComplexMatrix(bad, LOWER_TRIANGULAR)
-
-    def test_toeplitz_tag_is_checked(self):
-        ComplexMatrix(volterra_matrix(8), LOWER_TRIANGULAR_TOEPLITZ)
-        bad = volterra_matrix(8)
-        bad[5, 2] *= 1.5
-        with pytest.raises(ValueError):
-            ComplexMatrix(bad, LOWER_TRIANGULAR_TOEPLITZ)
-
     def test_array_interface(self):
         m = ComplexMatrix(np.eye(2))
         assert np.allclose(np.asarray(m), np.eye(2))
 
     def test_array_copy_is_honoured(self):
-        m = ComplexMatrix(volterra_matrix(4), LOWER_TRIANGULAR_TOEPLITZ)
+        m = ComplexMatrix(volterra_matrix(4))
         c = np.array(m)
         c[0, 3] = 7.0
         assert m.entries[0, 3] == 0.0
@@ -253,50 +233,6 @@ class TestJacobiSvd:
         assert np.max(np.abs(gram - np.diag(np.diag(gram)))) <= bound * max(1.0, ref[0])
 
 
-class TestCircleIntegral:
-    def test_single_mode(self):
-        grid = CircleGrid(4)
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        samples = [(lam, lam * a) for lam in grid.nodes]
-        out = circle_integral(samples, 1)
-        assert np.max(np.abs(out - a)) < 1e-14
-
-    def test_orthogonality_of_modes(self):
-        grid = CircleGrid(8)
-        a = np.ones((3, 3))
-        samples = [(lam, lam**2 * a) for lam in grid.nodes]
-        out = circle_integral(samples, 1)
-        assert np.max(np.abs(out)) < 1e-14
-
-    def test_two_mode_sum(self):
-        # (1/8) sum (lam + lam^3) lam^{-3} = 0 + 1 by direct DFT orthogonality
-        grid = CircleGrid(8)
-        a = np.array([[2.0, 0.0], [1.0, -1.0]])
-        samples = [(lam, (lam + lam**3) * a) for lam in grid.nodes]
-        out = circle_integral(samples, 3)
-        assert np.max(np.abs(out - a)) < 1e-14
-
-    def test_band_extraction(self):
-        # with M >= 2N the k-th integral of D A D* recovers the k-th band exactly
-        rng = np.random.default_rng(11)
-        n = 6
-        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        grid = CircleGrid(2 * n)
-        powers = np.arange(n)
-        for k in range(n):
-            samples = []
-            for lam in grid.nodes:
-                d = lam**powers
-                samples.append((lam, (d[:, None] * a) * d.conj()[None, :]))
-            band = np.diag(np.diag(a, -k), -k)
-            out = circle_integral(samples, k)
-            assert np.max(np.abs(out - band)) < 1e-12
-
-    def test_mismatched_dims(self):
-        with pytest.raises(ValueError):
-            circle_integral([(1.0, np.eye(2)), (-1.0, np.eye(3))], 1)
-
-
 class TestFindRoot:
     def test_cosine(self):
         sol = find_root(math.cos, (1.0, 2.0), 1e-12)
@@ -356,6 +292,16 @@ class TestToeplitzNorm:
 
     def test_zero_column(self):
         assert toeplitz_operator_norm(np.zeros(8)) == 0.0
+
+    @pytest.mark.parametrize("norm", [
+        lambda **kw: operator_norm(np.tril(np.ones((8, 8))), **kw),
+        lambda **kw: toeplitz_operator_norm(np.ones(8), **kw),
+    ], ids=["dense", "toeplitz"])
+    @pytest.mark.parametrize("bad", [{"restarts": 0}, {"restarts": -1}, {"tol": 1e-16}],
+                             ids=["restarts0", "restarts-1", "tol-below-eps-n"])
+    def test_both_entry_points_reject_bad_iteration_args(self, norm, bad):
+        with pytest.raises(ValueError):
+            norm(**bad)
 
     @pytest.mark.parametrize("col", [np.random.default_rng(5).standard_normal(40),
                                      np.arange(1, 9)], ids=["float", "int"])

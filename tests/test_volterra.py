@@ -7,8 +7,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from opalg.numkit import operator_norm
+from opalg.numkit import operator_norm, toeplitz_operator_norm
 from opalg.volterra import (
+    MODE_EXACT,
+    SampledKernel,
     _window_edges,
     build_vf,
     convolve,
@@ -17,9 +19,7 @@ from opalg.volterra import (
     ideal_restriction_check,
     kernel_constant,
     kernel_from_antiderivatives,
-    kernel_from_function,
     kernel_monomial,
-    kernel_norm,
     kernel_notell1,
     kernel_polynomial,
     kernel_power,
@@ -54,14 +54,13 @@ def kernel_step_reference(pieces, n):
 
 
 @st.composite
-def step_inputs(draw):
-    """A grid size n in [1, 512] and 1-6 disjoint pieces.
+def step_pieces(draw, n):
+    """1-6 disjoint pieces for a grid of size n.
 
     Piece ends are grid-aligned (multiples of h/2, so window edges and cell
     centres), arbitrary, or a sub-cell distance after another end; adjacent
     kept intervals give touching pieces.
     """
-    n = draw(st.integers(1, 512))
     h = 1.0 / n
     aligned = st.integers(0, 2 * n).map(lambda i: i / (2 * n))
     cuts = draw(st.lists(st.one_of(aligned, st.floats(0.0, 1.0)), min_size=1, max_size=7))
@@ -72,7 +71,14 @@ def step_inputs(draw):
     intervals = list(zip(cuts, cuts[1:]))
     kept = draw(st.lists(st.sampled_from(intervals), min_size=1, max_size=6, unique=True))
     values = draw(st.lists(st.floats(-8.0, 8.0), min_size=len(kept), max_size=len(kept)))
-    return n, [(a, b, v) for (a, b), v in zip(kept, values)]
+    return [(a, b, v) for (a, b), v in zip(kept, values)]
+
+
+@st.composite
+def step_inputs(draw, max_n=512):
+    """A grid size n in [1, max_n] and pieces from `step_pieces`."""
+    n = draw(st.integers(1, max_n))
+    return n, draw(step_pieces(n))
 
 
 class TestKernelStep:
@@ -110,9 +116,33 @@ class TestBuildVf:
             build_vf(kernel_constant(1.0, 8), 16)
 
     def test_nonfinite_cells_rejected(self):
-        # window 1 of a 4-cell grid is centred exactly on the pole
-        with np.errstate(divide="ignore"), pytest.raises(ValueError):
-            kernel_from_function(lambda u: 1.0 / (u - 0.25), 4)
+        with pytest.raises(ValueError):
+            SampledKernel(4, MODE_EXACT, np.array([0.0, np.inf, 0.0, 0.0]),
+                          np.zeros(4), np.zeros(4))
+
+    @settings(deadline=None, derandomize=True)
+    @given(step_inputs(max_n=64))
+    def test_entries_are_lower_triangular_toeplitz(self, inputs):
+        n, pieces = inputs
+        f = kernel_step(pieces, n)
+        want = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1):
+                want[i, j] = f.mu[i - j]
+        assert np.array_equal(build_vf(f, n).matrix.entries, want)
+
+    @settings(deadline=None, derandomize=True)
+    @given(st.data())
+    def test_product_matches_convolution(self, data):
+        n, pieces = data.draw(step_inputs(max_n=64))
+        f = kernel_step(pieces, n)
+        g = kernel_step(data.draw(step_pieces(n)), n)
+        lhs = build_vf(convolve(f, g), n).matrix.entries
+        rhs = build_vf(f, n).matrix.entries @ build_vf(g, n).matrix.entries
+        # two summation orders of length-n dot products differ by at most
+        # 2 gamma_n sum_k |f_k g_k| <= n eps |f|_1 |g|_1, with slack 2
+        bound = 2.0 * n * np.finfo(float).eps * f.l1_total * g.l1_total
+        assert np.max(np.abs(lhs - rhs)) <= bound
 
 
 class TestPowerKernelCheck:
@@ -311,7 +341,9 @@ class TestNilpotentApproximation:
 
     def test_sampled_kernel_path(self):
         n = 100
-        f = kernel_from_function(lambda u: math.cos(3.0 * u), n)
+        # cos(3u) to second order; a kernel without pieces takes the cell path
+        f = kernel_polynomial([1.0, 0.0, -4.5], n)
+        assert f.pieces is None
         h_kernel, bound = nilpotent_approximation(f, 0.2)
         diff = operator_norm(build_vf(f, n).matrix.entries
                              - build_vf(h_kernel, n).matrix.entries)
@@ -479,5 +511,5 @@ class TestSchemeInvariants:
         n = 128
         f = kernel_notell1(4, n)
         dense = operator_norm(build_vf(f, n).matrix)
-        fast = kernel_norm(f, tol=1e-12, restarts=2)
+        fast = toeplitz_operator_norm(f.mu, tol=1e-12, restarts=2)
         assert abs(dense - fast) < 1e-9
