@@ -64,8 +64,8 @@ def run_v2norm(config: ExperimentConfig) -> ExperimentReport:
     rep.check("root_residual_small", abs(math.cosh(eta) * math.cos(eta) + 1.0) < 1e-10)
     errors = []
     for dim in (n // 4, n // 2, n):
-        v = volterra.build_vf(volterra.kernel_constant(1.0, dim), dim).matrix.entries
-        sigma = operator_norm(v @ v)
+        v = volterra.kernel_constant(1.0, dim)
+        sigma = volterra.sigma_max(volterra.convolve(v, v).mu)
         errors.append(abs(sigma - nrm))
         rep.add(f"sigma_sq_dim_{dim}", sigma)
         rep.add(f"error_dim_{dim}", errors[-1])
@@ -215,10 +215,7 @@ def run_titchmarsh(config: ExperimentConfig) -> ExperimentReport:
     for dim in (n // 2, n, 2 * n):
         f = volterra.kernel_monomial(-0.5, dim)
         target = volterra.kernel_constant(math.pi, dim)
-        vf = volterra.build_vf(f, dim).matrix.entries
-        prod = vf @ vf
-        err = operator_norm(volterra.build_vf(target, dim).matrix.entries - prod,
-                            tol=1e-8)
+        err = volterra.sigma_max(target.mu - volterra.convolve(f, f).mu, tol=1e-8)
         errors.append(err)
         rep.add(f"homomorphism_error_dim_{dim}", err)
     ratios = [a / b for a, b in zip(errors, errors[1:])]
@@ -246,8 +243,7 @@ def run_nilpotent_density(config: ExperimentConfig) -> ExperimentReport:
     spec = config.kernel if config.kernel is not None else "const:1"
     f = volterra.parse_kernel_spec(spec, n)
     h_kernel, bound = volterra.nilpotent_approximation(f, delta)
-    diff = operator_norm(volterra.build_vf(f, n).matrix.entries
-                         - volterra.build_vf(h_kernel, n).matrix.entries)
+    diff = volterra.sigma_max(f.mu - h_kernel.mu)
     rep = ExperimentReport("nilpotent-density", _echo_params(config, r))
     rep.add("cutoff", delta)
     rep.add("removed_mass_bound", bound)

@@ -328,7 +328,8 @@ def toeplitz_operator_norm(first_column, tol: float = 1e-10, restarts: int = 2,
 
     Matrix-vector products are causal convolutions evaluated by FFT at a
     power-of-two length of at least 2N, so the cost per iteration is
-    O(N log N); this is the norm kernel for huge discretizations.  A real (or
+    O(N log N).  `volterra.sigma_max` uses it for every Volterra norm above
+    its dense crossover, and `notell1` on its 2^20 grid.  A real (or
     integer) column stays float64 and uses the half-spectrum `rfft`/`irfft`
     pair, and power iteration starts from the same real seeded vectors as
     `operator_norm` on the dense real matrix.  A complex column uses

@@ -10,30 +10,29 @@ mu_{i-j}, where
 
 The scheme is exact on piecewise-constant kernels and inputs (which covers
 the step kernels the norm experiments need) and first-order accurate in
-general.  Operator products correspond exactly to the Cauchy product of the
-cell arrays, so support arithmetic (Titchmarsh-style zero divisors, band
-nilpotency) holds at the matrix level bit for bit.
+general.  An element is its first column mu, a product is the truncated Cauchy
+product of the cell arrays (`convolve`), so support arithmetic holds bit for
+bit, and a norm is `sigma_max`.  Dense matrices appear only below sigma_max's
+crossover, in `nilpotency_check` (through `build_vf`, which tests also use)
+and in the corner of `ideal_restriction_check`.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import (
-    ComplexMatrix,
-    as_array,
-    find_root,
-    operator_norm,
-    toeplitz_operator_norm,
-)
+from .numkit import ComplexMatrix, find_root, operator_norm, toeplitz_operator_norm
 from .report import ExperimentReport
 
-# Largest dimension we materialize densely; beyond this norms power-iterate
-# with FFT matvecs on the first column and never build the matrix.
-MAX_DENSE_DIM = 4096
+MAX_DENSE_DIM = 4096  # memory guard of build_vf
+# Largest grid sigma_max iterates on densely; dense and FFT matvecs tie at
+# N = 240-288 with one BLAS thread (the measured table is in CHANGES.md).
+SIGMA_MAX_DENSE_DIM = 256
 
 MODE_EXACT = "exact-cell-integral"
 MODE_MIDPOINT = "midpoint-sample"
@@ -264,6 +263,12 @@ class VolterraDiscretization:
     matrix: ComplexMatrix
 
 
+def _toeplitz(mu: np.ndarray) -> np.ndarray:
+    """The lower-triangular Toeplitz matrix with first column mu."""
+    idx = np.subtract.outer(np.arange(len(mu)), np.arange(len(mu)))
+    return np.where(idx >= 0, mu[np.maximum(idx, 0)], 0.0)
+
+
 def build_vf(f: SampledKernel, n: int) -> VolterraDiscretization:
     """Materialize the convolution matrix for a kernel on the same grid."""
     if f.grid_size != n:
@@ -271,18 +276,20 @@ def build_vf(f: SampledKernel, n: int) -> VolterraDiscretization:
     if n > MAX_DENSE_DIM:
         raise ValueError(
             f"dim {n} exceeds the dense guard {MAX_DENSE_DIM}; "
-            "use toeplitz_operator_norm on the kernel's cells")
-    idx = np.arange(n)[:, None] - np.arange(n)[None, :]
-    entries = np.where(idx >= 0, f.mu[np.clip(idx, 0, n - 1)], 0.0)
-    return VolterraDiscretization(f, n, ComplexMatrix(entries))
+            "use sigma_max on the kernel's cells")
+    return VolterraDiscretization(f, n, ComplexMatrix(_toeplitz(f.mu)))
 
 
-def _sigma_max(f: SampledKernel, n: int) -> float:
-    """Largest singular value of the convolution matrix at grid size n: dense
-    power iteration up to MAX_DENSE_DIM, FFT matvecs on the cells beyond."""
-    if n <= MAX_DENSE_DIM:
-        return operator_norm(build_vf(f, n).matrix)
-    return toeplitz_operator_norm(f.mu)
+def sigma_max(mu, tol: float | None = None) -> float:
+    """Largest singular value of the convolution matrix with first column mu:
+    `operator_norm` up to SIGMA_MAX_DENSE_DIM cells, `toeplitz_operator_norm`
+    above, both at operator_norm's defaults (tol max(1e-13, 4 eps N), 3 restarts)."""
+    mu = np.asarray(mu)
+    if tol is None:
+        tol = max(1e-13, 4.0 * np.finfo(float).eps * len(mu))
+    if len(mu) <= SIGMA_MAX_DENSE_DIM:
+        return operator_norm(_toeplitz(mu), tol=tol)
+    return toeplitz_operator_norm(mu, tol=tol, restarts=3)
 
 
 def convolve(f: SampledKernel, g: SampledKernel) -> SampledKernel:
@@ -290,8 +297,10 @@ def convolve(f: SampledKernel, g: SampledKernel) -> SampledKernel:
 
     By the Toeplitz band identity, build_vf(convolve(f, g)) equals
     build_vf(f) @ build_vf(g) to rounding, so operator products and kernel
-    convolutions agree exactly at scheme level.  The result approximates the
-    true f*g cells to first order and is tagged as sampled, not exact.
+    convolutions agree exactly at scheme level.  A p-fold product is a chain
+    of p - 1 calls, truncated to the grid after every factor.  The result
+    approximates the true f*g cells to first order and is tagged as sampled,
+    not exact.
     """
     if f.grid_size != g.grid_size:
         raise ValueError("kernels live on different grids")
@@ -318,18 +327,16 @@ def frobenius_norm(v: VolterraDiscretization) -> float:
 
 
 def power_kernel_check(p: int, n: int) -> ExperimentReport:
-    """Compare the (p+1)-st matrix power of plain integration against the
-    direct discretization of its closed-form kernel u^p / p!; the gap must
-    shrink when the grid is refined."""
+    """Compare the (p+1)-st power of plain integration, a chain of p cell
+    convolutions, against the direct discretization of its closed-form kernel
+    u^p / p!; the gap must shrink when the grid is refined."""
     if p > 8:
         raise ValueError("power capped at 8")
     rep = ExperimentReport("power-kernel", {"p": p, "dim": n})
     errs = {}
     for dim in (n, 2 * n):
-        v = build_vf(kernel_constant(1.0, dim), dim).matrix.entries
-        target = build_vf(kernel_power(p, dim), dim).matrix.entries
-        power = np.linalg.matrix_power(v, p + 1)
-        errs[dim] = operator_norm(power - target)
+        power = functools.reduce(convolve, [kernel_constant(1.0, dim)] * (p + 1))
+        errs[dim] = sigma_max(power.mu - kernel_power(p, dim).mu)
         rep.add(f"error_dim_{dim}", errs[dim])
     if p == 0:
         rep.check("schemes_identical", errs[n] < 1e-15)
@@ -340,8 +347,10 @@ def power_kernel_check(p: int, n: int) -> ExperimentReport:
 
 def l1_norm_bound_check(f: SampledKernel, n: int) -> ExperimentReport:
     """sigma_max of the convolution matrix never exceeds the l1 cell mass."""
+    if f.grid_size != n:
+        raise ValueError(f"kernel lives on a grid of size {f.grid_size}, not {n}")
     bound = float(np.sum(np.abs(f.mu)))
-    sigma = _sigma_max(f, n)
+    sigma = sigma_max(f.mu)
     rep = ExperimentReport("l1-bound", {"dim": n, "mode": f.mode})
     rep.add("sigma_max", sigma)
     rep.add("l1_cell_mass", bound)
@@ -376,13 +385,11 @@ def power_norm_table(n_max: int, n: int) -> ExperimentReport:
         raise ValueError("n_max capped at 12 (factorial growth outruns the grid)")
     if n < 512:
         raise ValueError("need at least 512 grid points for an honest trend")
-    v = build_vf(kernel_constant(1.0, n), n).matrix.entries
     rep = ExperimentReport("power-norms", {"dim": n, "n_max": n_max})
-    power = np.eye(n)
+    powers = itertools.accumulate([kernel_constant(1.0, n)] * n_max, convolve)
     values = []
-    for p in range(1, n_max + 1):
-        power = power @ v
-        c = math.factorial(p) * operator_norm(power)
+    for p, power in enumerate(powers, 1):
+        c = math.factorial(p) * sigma_max(power.mu)
         values.append(c)
         rep.add(f"c_{p:02d}", c)
     upto = min(8, n_max)
@@ -454,7 +461,7 @@ def titchmarsh_alpha(f: SampledKernel, g: SampledKernel, tol: float = 1e-10):
     """From a numerically vanishing convolution, recover complementary
     support starts: alpha + beta >= 1 - 2/N on the grid."""
     n = f.grid_size
-    sigma = _sigma_max(convolve(f, g), n)
+    sigma = sigma_max(convolve(f, g).mu)
     if sigma >= tol:
         raise ValueError(
             f"convolution is not numerically zero: sigma_max = {sigma}")
@@ -487,13 +494,11 @@ def muntz_no_gauge_demo(degree: int, n: int, fit_points: int = 1000) -> Experime
             f"ill-conditioned monomial fit: diagonal ratio {rdiag.min() / rdiag.max()}")
     coeffs = np.linalg.solve(r, q.T @ xs)
     eps = float(np.max(np.abs(xs - basis @ coeffs)))
-    v = build_vf(kernel_constant(1.0, n), n).matrix.entries
-    combo = np.zeros((n, n))
-    power = v @ v
-    for j in range(2, degree + 1):
-        power = power @ v  # V^(j+1)
-        combo += math.factorial(j) * coeffs[j - 2] * power
-    sigma = operator_norm(v @ v - combo)
+    powers = list(itertools.accumulate([kernel_constant(1.0, n)] * (degree + 1),
+                                       convolve))  # powers[j] is V^(j+1)
+    combo = sum(math.factorial(j) * coeffs[j - 2] * powers[j].mu
+                for j in range(2, degree + 1))
+    sigma = sigma_max(powers[1].mu - combo)
     eta, v2norm = v2_exact()
     rep = ExperimentReport("muntz-no-gauge", {"degree": degree, "dim": n,
                                               "fit_points": fit_points})
@@ -531,15 +536,11 @@ def ideal_restriction_check(f: SampledKernel, x0: float, g: SampledKernel) -> Ex
     rep.add("product_support_start", conv.support_start)
     rep.check("product_stays_above_x0", conv.support_start >= x0 - 1e-15)
     if d > 0:
-        vf = build_vf(f, n).matrix.entries
-        corner = vf[:d, :d]
-        rep.add("compression_norm", operator_norm(corner))
+        corner = _toeplitz(f.mu)[:d, :d]
+        rep.add("compression_norm", sigma_max(f.mu[:d]))
         # the compression reads only cells below x0: replacing f by its
         # truncation to [0, x0] leaves the corner bitwise unchanged
-        mu_lo = f.mu.copy()
-        mu_lo[d:] = 0.0
-        idx = np.arange(d)[:, None] - np.arange(d)[None, :]
-        corner_lo = np.where(idx >= 0, mu_lo[np.clip(idx, 0, n - 1)], 0.0)
+        corner_lo = _toeplitz(np.concatenate([f.mu[:d], np.zeros(n - d)]))[:d, :d]
         rep.add("compression_equality_residual",
                 float(np.max(np.abs(corner - corner_lo))))
         rep.check("compression_sees_only_low_cells",
@@ -563,7 +564,7 @@ def unbounded_witness_check(n_list) -> ExperimentReport:
     rep = ExperimentReport("unbounded-witness", {"dims": ",".join(map(str, n_list))})
     sigmas = []
     for n in n_list:
-        sigma = _sigma_max(kernel_singular32(n), n)
+        sigma = sigma_max(kernel_singular32(n).mu)
         sigmas.append(sigma)
         rep.add(f"sigma_dim_{n}", sigma)
     rep.add("kf_double_integral", 2.0)  # closed form: 2 int (1-x)^(-1/2) - 2 dx

@@ -1,5 +1,6 @@
 """Tests for the Volterra convolution-algebra module."""
 
+import functools
 import math
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from opalg import volterra
 from opalg.numkit import operator_norm, toeplitz_operator_norm
 from opalg.volterra import (
     MODE_EXACT,
+    SIGMA_MAX_DENSE_DIM,
     SampledKernel,
     _window_edges,
     build_vf,
@@ -32,6 +35,7 @@ from opalg.volterra import (
     parse_kernel_spec,
     power_kernel_check,
     power_norm_table,
+    sigma_max,
     titchmarsh_alpha,
     unbounded_witness_check,
     v2_exact,
@@ -141,8 +145,22 @@ class TestBuildVf:
         rhs = build_vf(f, n).matrix.entries @ build_vf(g, n).matrix.entries
         # two summation orders of length-n dot products differ by at most
         # 2 gamma_n sum_k |f_k g_k| <= n eps |f|_1 |g|_1, with slack 2
-        bound = 2.0 * n * np.finfo(float).eps * f.l1_total * g.l1_total
+        eps = np.finfo(float).eps
+        bound = 2.0 * n * eps * f.l1_total * g.l1_total
         assert np.max(np.abs(lhs - rhs)) <= bound
+        # A p-fold chain, truncated after every factor, against matrix_power.
+        # Each side makes at most p - 1 products (matrix_power's binary
+        # powering makes fewer for p >= 4).  A computed product of factors
+        # with max-row-sum norms a, b is within gamma_n a b of the exact one,
+        # and |V_f|_inf = |mu|_1, so by induction over the products each side
+        # is within ((1 + gamma_n)^(p-1) - 1) |mu|_1^p of V_f^p; at p = 2 the
+        # two sides differ by 2 gamma_n |mu|_1^2, the bound above.
+        p = data.draw(st.integers(2, 6))
+        chain = functools.reduce(convolve, [f] * p)
+        power = np.linalg.matrix_power(build_vf(f, n).matrix.entries, p)
+        gamma = n * eps / (1.0 - n * eps)
+        bound = 2.0 * ((1.0 + gamma) ** (p - 1) - 1.0) * np.sum(np.abs(f.mu)) ** p
+        assert np.max(np.abs(build_vf(chain, n).matrix.entries - power)) <= bound
 
 
 class TestPowerKernelCheck:
@@ -163,6 +181,12 @@ class TestPowerKernelCheck:
 
 
 class TestL1Bound:
+    @pytest.mark.parametrize("kernel_n, n", [(64, 32), (8192, 5000)])
+    def test_grid_mismatch_rejected_at_every_size(self, kernel_n, n):
+        # the 8192-grid kernel is above the dense size too
+        with pytest.raises(ValueError, match="grid of size"):
+            l1_norm_bound_check(kernel_constant(1.0, kernel_n), n)
+
     def test_constant(self):
         rep = l1_norm_bound_check(kernel_constant(1.0, 256), 256)
         assert rep.passed
@@ -470,6 +494,45 @@ class TestKernelSpecLanguage:
     def test_unknown(self):
         with pytest.raises(ValueError):
             parse_kernel_spec("gauss:1", 8)
+
+
+def homomorphism_residual(n):
+    """pi minus the self-convolution of u^(-1/2): titchmarsh's ladder column,
+    with its dense matrix built entrywise from the two kernels' matrices."""
+    f = kernel_monomial(-0.5, n)
+    target = kernel_constant(math.pi, n)
+    prod = convolve(f, f)
+    dense = build_vf(target, n).matrix.entries - build_vf(prod, n).matrix.entries
+    return target.mu - prod.mu, dense
+
+
+def column_and_matrix(f):
+    return f.mu, build_vf(f, f.grid_size).matrix.entries
+
+
+class TestSigmaMax:
+    # name -> (grid size -> (first column, dense matrix), tol)
+    COLUMNS = {
+        "const": (lambda n: column_and_matrix(kernel_constant(1.0, n)), None),
+        "singular32": (lambda n: column_and_matrix(kernel_singular32(n)), None),
+        "homomorphism": (homomorphism_residual, 1e-8),
+    }
+
+    @pytest.mark.parametrize("column", sorted(COLUMNS))
+    @pytest.mark.parametrize("n", [64, SIGMA_MAX_DENSE_DIM, SIGMA_MAX_DENSE_DIM + 1, 480])
+    def test_branch_matches_dense_power_iteration(self, monkeypatch, n, column):
+        build, tol = self.COLUMNS[column]
+        mu, dense = build(n)
+        want = operator_norm(dense, tol=tol)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("wrong sigma_max branch")
+
+        dense_branch = n <= SIGMA_MAX_DENSE_DIM
+        monkeypatch.setattr(volterra, "toeplitz_operator_norm" if dense_branch
+                            else "operator_norm", forbidden)
+        got = sigma_max(mu, tol=tol)
+        assert abs(got - want) <= 1e-12 * want
 
 
 class TestSchemeInvariants:
