@@ -148,8 +148,7 @@ def run_fejer(config: ExperimentConfig) -> ExperimentReport:
     for m in sorted({degree, 2 * degree, order}):
         if m < degree:
             continue
-        padded = powers + [np.zeros((n, n))] * max(0, m - len(powers))
-        approx = gauge.fejer_sum(series, m, padded)
+        approx = shift.polynomial_in(t, gauge.fejer_coefficients(series, m))
         err = operator_norm(s - approx)
         bound = (degree / m) * coeff_mass
         rep.add(f"error_order_{m:04d}", err)
@@ -163,6 +162,8 @@ def run_neumann(config: ExperimentConfig) -> ExperimentReport:
     """Neumann-series factor certificates on random low-index polynomials."""
     r = config.resolved(dim=32, nmax=20, weights="harmonic")
     n, trials = r["dim"], r["nmax"]
+    if n < 4:
+        raise ValueError(f"neumann draws k up to 3, so dim must be at least 4, got {n}")
     w = shift.parse_weight_spec(r["weights"], n)
     t = shift.build_shift(w, n)
     rep = ExperimentReport("neumann", _echo_params(config, r))

@@ -4,10 +4,11 @@ For an operator S built from powers of a graded generator T, conjugation by
 the diagonal phase unitary D_lam = diag(lam^0, ..., lam^(N-1)) multiplies the
 k-th sub-diagonal band by lam^k.  Averaging those conjugates against lam^(-k)
 over the circle isolates the coefficient of T^k; the arithmetic-mean weighted
-partial sums reconstruct S.  The module also provides two computable
-certificates that an algebra generated by a single operator cannot carry an
-isometric circle action sending T to lam*T: a linear dependence among nonzero
-powers, and a norm asymmetry under the phase scan.
+partial sums reconstruct S (`fejer_coefficients` gives their coefficients,
+`shift.polynomial_in` lays them down).  The module also provides two
+computable certificates that an algebra generated by a single operator
+cannot carry an isometric circle action sending T to lam*T: a linear
+dependence among nonzero powers, and a norm asymmetry under the phase scan.
 """
 
 from __future__ import annotations
@@ -110,24 +111,13 @@ def fourier_coefficients(a, grid: CircleGrid, powers, threshold: float | None = 
     return FourierSeries(coeffs, n, tau)
 
 
-def fejer_sum(series: FourierSeries, n: int, powers) -> np.ndarray:
-    """Weighted partial sum sum_{j=1}^{n} ((n-j)/n) * coeff(j) * T^j.
-
-    The weights are the arithmetic-mean (Cesaro) weights (n-j)/n; note the
-    j = n term carries weight zero.
-    """
+def fejer_coefficients(series: FourierSeries, n: int) -> np.ndarray:
+    """Coefficients ((n-j)/n) * coeff(j), j = 1..n, of the arithmetic-mean
+    (Cesaro) weighted partial sum of S; the j = n term carries weight zero."""
     if n < 1:
         raise ValueError("n must be positive")
-    if len(powers) < n:
-        raise ValueError(f"need powers T^1..T^{n}, got {len(powers)}")
-    mats = [as_array(p) for p in powers[:n]]
-    out = np.zeros_like(mats[0], dtype=complex)
-    for j in range(1, n + 1):
-        c = series.coefficient(j)
-        if c == 0:
-            continue
-        out += ((n - j) / n) * c * mats[j - 1]
-    return out
+    return np.array([((n - j) / n) * series.coefficient(j) for j in range(1, n + 1)],
+                    dtype=complex)
 
 
 def certify_no_gauge_linear_dependence(powers, rel_tol: float = 1e-10,

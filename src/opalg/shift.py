@@ -1,13 +1,13 @@
 """The weighted-shift algebra at finite truncation.
 
 The generator is the one-band lower-triangular matrix T e_n = a_n e_{n+1}
-(T e_{N-1} = 0), so T^N = 0 exactly and every polynomial in T is determined
-by its action on e_0: the k-th coefficient sits at entry (k, 0) divided by
-the weight product a_0 ... a_{k-1}.  The operations here verify norm
-(in)equivalence between ||S|| and ||S e_0||, extreme points of the unit
-ball, quasinilpotence of the weight family, and the ideal structure (every
-nonzero element generates the same closed ideal as the power T^k at its
-lowest coefficient).
+(T e_{N-1} = 0); T^k is the single band T^k[j+k, j] = a_j ... a_{j+k-1}, so
+T^N = 0 and `polynomial_in` lays polynomials down band by band.  The k-th
+coefficient of S is entry (k, 0) over a_0 ... a_{k-1}.  The operations here
+verify norm (in)equivalence between ||S|| and ||S e_0||, extreme points of
+the unit ball, quasinilpotence of the weight family, and the ideal structure
+(every nonzero element generates the same closed ideal as the power T^k at
+its lowest coefficient).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauge import FourierSeries, default_threshold
-from .numkit import ComplexMatrix, as_array, operator_norm
+from .numkit import as_array, operator_norm
 from .report import ExperimentReport
 
 HARMONIC = "harmonic"
@@ -104,14 +104,12 @@ class ShiftTruncation:
 
     weights: WeightSequence
     dim: int
-    matrix: ComplexMatrix
 
     def powers(self, d: int) -> list:
-        """[T^1, ..., T^d] as plain arrays."""
-        t = self.matrix.entries
-        out = [t]
-        for _ in range(d - 1):
-            out.append(out[-1] @ t)
+        """[T^1, ..., T^d] as plain arrays; T^k is the zero matrix from k = N on."""
+        out = [np.zeros((self.dim, self.dim), dtype=complex) for _ in range(d)]
+        for p, (cells, band) in zip(out, _bands(self, d)):
+            p.flat[cells] = band
         return out
 
     def weight_products(self) -> np.ndarray:
@@ -120,13 +118,22 @@ class ShiftTruncation:
 
 
 def build_shift(weights: WeightSequence, n: int) -> ShiftTruncation:
-    """Materialize the truncation; ||T|| equals the largest |a_k| used."""
+    """Check the truncation can be laid down; ||T|| equals the largest |a_k| used."""
     if n < 2:
         raise ValueError("truncation dim must be at least 2")
-    vals = weights.materialized(n - 1)
-    m = np.zeros((n, n), dtype=complex)
-    m[np.arange(1, n), np.arange(n - 1)] = vals
-    return ShiftTruncation(weights, n, ComplexMatrix(m))
+    weights.materialized(n - 1)
+    return ShiftTruncation(weights, n)
+
+
+def _bands(t: ShiftTruncation, d: int):
+    """Yield (flat cells, band) of T^k for k = 1..min(d, N - 1): the k-th
+    subdiagonal (flat start k*N, step N + 1) holds band_k[j] = a_j ... a_{j+k-1}
+    = band_{k-1}[j+1] * a_j, the products of the chain T^(k-1) T in its order."""
+    n = t.dim
+    band = a = t.weights.materialized(n - 1)
+    for k in range(1, min(d, n - 1) + 1):
+        yield slice(k * n, None, n + 1), band
+        band = band[1:] * a[:n - k - 1]
 
 
 def vector_norm_at_e0(s) -> float:
@@ -151,11 +158,11 @@ def column_coefficients(s, t: ShiftTruncation, threshold: float | None = None) -
 
 
 def polynomial_in(t: ShiftTruncation, coeffs) -> np.ndarray:
-    """sum_k coeffs[k-1] * T^k."""
+    """sum_k coeffs[k-1] * T^k, one band per term; terms from T^N on vanish."""
     coeffs = np.asarray(coeffs, dtype=complex)
     out = np.zeros((t.dim, t.dim), dtype=complex)
-    for c, p in zip(coeffs, t.powers(len(coeffs))):
-        out += c * p
+    for c, (cells, band) in zip(coeffs, _bands(t, len(coeffs))):
+        out.flat[cells] = c * band
     return out
 
 
@@ -293,12 +300,8 @@ def neumann_factor_check(s, k: int, t: ShiftTruncation) -> ExperimentReport:
     n = t.dim
     coeffs = column_coefficients(s, t)
     # Q = sum_{j>=0} coeff(k+j) T^j has unit constant term; R = I - Q
-    r = np.zeros((n, n), dtype=complex)
-    powers = t.powers(max(1, n - 1 - k))
-    for j in range(1, n - k):
-        r -= coeffs.coefficient(k + j) * powers[j - 1]
-    acc = s.copy()
-    term = s.copy()
+    r = polynomial_in(t, [-coeffs.coefficient(k + j) for j in range(1, n - k)])
+    acc, term = s.copy(), s
     for _ in range(n):
         term = term @ r
         if not np.any(term):
@@ -326,9 +329,8 @@ def invariant_subspace_of_ideal(k: int, t: ShiftTruncation) -> np.ndarray:
     if not 1 <= k < n:
         raise ValueError(f"k must lie in [1, {n - 1}]")
     basis = np.eye(n, dtype=complex)[:, k:]
-    tm = t.matrix.entries
     # invariance: rows above k of T restricted to the span must vanish
-    residual = float(np.max(np.abs(tm[:k, k:]))) if k > 0 else 0.0
+    residual = float(np.max(np.abs(t.powers(1)[0][:k, k:])))
     if residual > 1e-12:
         raise RuntimeError(f"subspace not T-invariant, residual {residual}")
     # the e_0 images of the monomial ideal basis hit every e_j, j >= k

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from opalg.cli import ExperimentConfig, emit_report, run_experiment
+from opalg.cli import ExperimentConfig, emit_report, main, run_experiment
 from opalg.report import ExperimentReport, parse_csv
 
 
@@ -28,6 +28,12 @@ class TestValidation:
     def test_bad_dim(self):
         proc = run_cli("v2norm", "--dim", "1")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("dim", ["2", "3"])
+    def test_neumann_dim_below_four_rejected(self, dim, capsys):
+        # trials draw lowest indices k in {1, 2, 3}, so T^3 must not vanish
+        assert main(["neumann", "--dim", dim]) == 2
+        assert f"dim must be at least 4, got {dim}" in capsys.readouterr().err
 
     def test_bad_weight_spec(self):
         proc = run_cli("equivalence", "--weights", "fibonacci", "--nmax", "2")

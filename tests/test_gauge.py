@@ -7,12 +7,12 @@ from opalg.gauge import (
     FourierSeries,
     certify_no_gauge_linear_dependence,
     certify_no_gauge_norm_scan,
-    fejer_sum,
+    fejer_coefficients,
     fourier_coefficients,
     gauge_conjugate,
 )
 from opalg.numkit import CircleGrid, operator_norm
-from opalg.shift import build_shift, harmonic_weights, random_polynomial
+from opalg.shift import build_shift, harmonic_weights, polynomial_in, random_polynomial
 
 
 @pytest.fixture
@@ -22,7 +22,7 @@ def harmonic8():
 
 class TestGaugeConjugate:
     def test_shift_scales_linearly(self, harmonic8):
-        t = harmonic8.matrix.entries
+        t = harmonic8.powers(1)[0]
         out = gauge_conjugate(t, 1j)
         assert np.max(np.abs(out - 1j * t)) < 1e-14
 
@@ -42,7 +42,7 @@ class TestGaugeConjugate:
 
 class TestFourierCoefficients:
     def test_monomial(self, harmonic8):
-        t = harmonic8.matrix.entries
+        t = harmonic8.powers(1)[0]
         series = fourier_coefficients(t, CircleGrid(16), harmonic8.powers(7))
         assert series.coefficient(1) == pytest.approx(1.0, abs=1e-12)
         for k in range(2, 8):
@@ -64,14 +64,13 @@ class TestFourierCoefficients:
         assert series.coefficient(2) == pytest.approx(1.0, abs=1e-12)
 
     def test_vanished_power_rejected(self, harmonic8):
-        powers = harmonic8.powers(7)
-        powers.append(np.zeros((8, 8)))  # T^8 = 0 at truncation
+        powers = harmonic8.powers(8)  # T^8 = 0 at truncation
         with pytest.raises(ValueError, match="T\\^8"):
             fourier_coefficients(powers[0], CircleGrid(16), powers)
 
     def test_small_grid_rejected(self, harmonic8):
         with pytest.raises(ValueError):
-            fourier_coefficients(harmonic8.matrix.entries, CircleGrid(8),
+            fourier_coefficients(harmonic8.powers(1)[0], CircleGrid(8),
                                  harmonic8.powers(2))
 
     def test_agrees_with_column_extraction(self, harmonic8):
@@ -85,41 +84,39 @@ class TestFourierCoefficients:
 
 class TestFejerSum:
     def test_single_term_n2(self, harmonic8):
-        t = harmonic8.matrix.entries
+        t = harmonic8.powers(1)[0]
         series = FourierSeries({1: 1.0 + 0j}, 8, 0.0)
-        out = fejer_sum(series, 2, harmonic8.powers(2))
+        out = polynomial_in(harmonic8, fejer_coefficients(series, 2))
         assert np.max(np.abs(out - 0.5 * t)) < 1e-14
 
     def test_single_term_large_n(self):
         t = build_shift(harmonic_weights(8), 8)
         series = FourierSeries({1: 1.0 + 0j}, 8, 0.0)
-        powers = t.powers(7) + [np.zeros((8, 8))] * 993
-        out = fejer_sum(series, 1000, powers)
+        out = polynomial_in(t, fejer_coefficients(series, 1000))
         # weight (1000-1)/1000 = 0.999 on T^1 -- higher powers never touched
-        assert np.max(np.abs(out - 0.999 * t.matrix.entries)) < 1e-14
+        assert np.max(np.abs(out - 0.999 * t.powers(1)[0])) < 1e-14
 
     def test_two_terms(self, harmonic8):
         powers = harmonic8.powers(4)
         series = FourierSeries({1: 3.0 + 0j, 2: 5.0 + 0j}, 8, 0.0)
-        out = fejer_sum(series, 4, powers)
+        out = polynomial_in(harmonic8, fejer_coefficients(series, 4))
         expected = (3.0 / 4.0) * 3.0 * powers[0] + (2.0 / 4.0) * 5.0 * powers[1]
         assert np.max(np.abs(out - expected)) < 1e-14
 
-    def test_missing_powers(self, harmonic8):
+    def test_nonpositive_order_rejected(self):
         series = FourierSeries({1: 1.0 + 0j}, 8, 0.0)
-        with pytest.raises(ValueError):
-            fejer_sum(series, 4, harmonic8.powers(2))
+        with pytest.raises(ValueError, match="positive"):
+            fejer_coefficients(series, 0)
 
     def test_error_bound(self, harmonic8):
-        # || S - fejer_sum(S, n) || <= (d/n) sum_j |coeff(j)| ||T^j||
+        # || S - Fejer sum of S at order n || <= (d/n) sum_j |coeff(j)| ||T^j||
         powers = harmonic8.powers(7)
         for trial in range(5):
             s = random_polynomial(harmonic8, seed=13, trial=trial)
             series = fourier_coefficients(s, CircleGrid(16), powers)
             d = max(series.coefficients)
             for n in (7, 14, 70):
-                approx = fejer_sum(series, n, harmonic8.powers(n) if n <= 7
-                                   else powers + [np.zeros((8, 8))] * (n - 7))
+                approx = polynomial_in(harmonic8, fejer_coefficients(series, n))
                 bound = (d / n) * sum(abs(series.coefficient(j)) * operator_norm(powers[j - 1])
                                       for j in range(1, 8))
                 assert operator_norm(s - approx) <= bound + 1e-10

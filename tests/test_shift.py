@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opalg.numkit import operator_norm
 from opalg.shift import (
@@ -60,35 +62,103 @@ class TestWeightSequences:
 class TestBuildShift:
     def test_unit_weights(self):
         t = build_shift(ones_weights(3), 3)
-        m = t.matrix.entries
+        m = t.powers(1)[0]
         assert m[1, 0] == 1.0 and m[2, 1] == 1.0
         assert np.count_nonzero(m) == 2
         assert operator_norm(m) == pytest.approx(1.0, abs=1e-12)
 
     def test_harmonic_subdiagonal(self):
         t = build_shift(harmonic_weights(4), 4)
-        sub = np.diag(t.matrix.entries, -1)
+        sub = np.diag(t.powers(1)[0], -1)
         assert np.allclose(sub, [1.0, 0.5, 1.0 / 3.0])
 
     def test_geometric_subdiagonal(self):
         t = build_shift(geometric_weights(0.5, 4), 4)
-        sub = np.diag(t.matrix.entries, -1)
+        sub = np.diag(t.powers(1)[0], -1)
         assert np.allclose(sub, [1.0, 0.5, 0.25])
 
     def test_nilpotency_exact(self):
         t = build_shift(harmonic_weights(6), 6)
-        power = np.linalg.matrix_power(t.matrix.entries, 6)
-        assert np.all(power == 0)
+        powers = t.powers(8)
+        assert np.any(powers[4])
+        assert all(np.all(p == 0) for p in powers[5:])
 
     def test_short_weight_list_rejected(self):
         with pytest.raises(ValueError):
             build_shift(explicit_weights([1.0]), 4)
 
 
+def _polar(modulus, phase):
+    return st.builds(lambda r, theta: r * complex(math.cos(theta), math.sin(theta)),
+                     modulus, phase)
+
+
+@st.composite
+def band_inputs(draw):
+    """(dim, family, weights, coefficient vector), len(coeffs) up to 2 * dim."""
+    n = draw(st.integers(2, 64))
+    family = draw(st.sampled_from(["harmonic", "geometric", "ones", "list"]))
+    if family == "harmonic":
+        w = harmonic_weights(n)
+    elif family == "geometric":
+        w = geometric_weights(draw(st.floats(0.05, 0.95)), n)
+    elif family == "ones":
+        w = ones_weights(n)
+    else:
+        # genuinely complex weights of modulus in [1/2, 2], through the spec
+        vals = draw(st.lists(_polar(st.floats(0.5, 2.0), st.floats(-math.pi, math.pi)),
+                             min_size=n - 1, max_size=n - 1))
+        w = parse_weight_spec("list:" + ",".join(repr(v) for v in vals), n)
+    coeff = st.one_of(st.just(0j), _polar(st.floats(1e-3, 1e3), st.floats(-math.pi, math.pi)))
+    coeffs = draw(st.lists(coeff, min_size=1, max_size=2 * n))
+    return n, family, w, coeffs
+
+
+class TestBandLayout:
+    @settings(deadline=None, derandomize=True)
+    @given(band_inputs())
+    def test_bands_match_dense_matrix_chain(self, inputs):
+        n, family, w, coeffs = inputs
+        t = build_shift(w, n)
+        d = len(coeffs)
+        shift = np.diag(w.values[:n - 1], -1)
+        chain = [shift]
+        for _ in range(d - 1):
+            chain.append(chain[-1] @ shift)
+        dense = np.zeros((n, n), dtype=complex)
+        for c, p in zip(coeffs, chain):
+            dense += c * p
+        powers = t.powers(d)
+        poly = polynomial_in(t, coeffs)
+        assert all(not np.any(p) for p in powers[n - 1:])
+        if family != "list":
+            # real weights: the same products in the same order, exact zeros
+            # elsewhere, so the two routes agree bit for bit
+            assert all(np.array_equal(p, q) for p, q in zip(powers, chain))
+            assert np.array_equal(poly, dense)
+            return
+        # Complex weights.  Entry (j+k, j) of T^k is the product e of the k
+        # weights a_j..a_{j+k-1}; each route forms it by k - 1 complex
+        # multiplications (numpy's here, zgemm's in the chain, where every
+        # other term of the dot product is an exact zero) and a polynomial
+        # entry by one more, with the coefficient.  A computed complex
+        # product is within sqrt(5) u of the exact one, relatively, with
+        # u = eps / 2 (Brent, Percival and Zimmermann 2007; an FMA-based
+        # product is within 2 u), so after m multiplications each route is
+        # within gamma_m = (1 + sqrt(5) u)^m - 1 of e and the routes differ by
+        # at most 2 gamma_m |e| <= 2 gamma_m / (1 - gamma_m) |y|, y the chain's
+        # entry.  Off the bands both routes hold exact zeros.
+        u = np.finfo(float).eps / 2.0
+        k = np.subtract.outer(np.arange(n), np.arange(n))
+        for got, want, m in [(p, q, k - 1) for p, q in zip(powers, chain)] + [(poly, dense, k)]:
+            gamma = (1.0 + math.sqrt(5.0) * u) ** np.maximum(m, 0) - 1.0
+            assert np.all(np.abs(got - want) <= 2.0 * gamma / (1.0 - gamma) * np.abs(want))
+
+
 class TestVectorNorm:
     def test_shift_itself(self):
         t = build_shift(harmonic_weights(4), 4)
-        assert vector_norm_at_e0(t.matrix.entries) == pytest.approx(1.0)
+        assert vector_norm_at_e0(t.powers(1)[0]) == pytest.approx(1.0)
 
     def test_square(self):
         t = build_shift(harmonic_weights(4), 4)
@@ -157,7 +227,7 @@ class TestExtremePoints:
 
     def test_interior_point_is_not(self):
         t = build_shift(harmonic_weights(8), 8)
-        assert not extreme_point_check(0.5 * t.matrix.entries / operator_norm(t.matrix.entries))
+        assert not extreme_point_check(0.5 * t.powers(1)[0] / operator_norm(t.powers(1)[0]))
 
 
 class TestQuasinilpotence:
@@ -190,7 +260,7 @@ class TestIdealGeneratorIndex:
         assert ideal_generator_index(s, t8) == 3
 
     def test_shift_itself(self, t8):
-        assert ideal_generator_index(t8.matrix.entries, t8) == 1
+        assert ideal_generator_index(t8.powers(1)[0], t8) == 1
 
     def test_threshold_semantics(self, t8):
         powers = t8.powers(2)
@@ -226,7 +296,7 @@ class TestNeumannFactor:
     def test_wrong_lowest_index_rejected(self):
         t = build_shift(harmonic_weights(8), 8)
         with pytest.raises(ValueError):
-            neumann_factor_check(t.matrix.entries, 2, t)
+            neumann_factor_check(t.powers(1)[0], 2, t)
 
 
 class TestInvariantSubspace:
@@ -250,7 +320,7 @@ class TestLowestIndexOfProduct:
         return build_shift(harmonic_weights(32), 32)
 
     def test_monomials(self, t32):
-        t = t32.matrix.entries
+        t = t32.powers(1)[0]
         rep = lowest_index_of_product(t, t, t32)
         assert rep.passed
         assert rep.value("product_lowest_index") == 2
