@@ -136,12 +136,11 @@ def run_fejer(config: ExperimentConfig) -> ExperimentReport:
     t = shift.build_shift(w, n)
     grid = CircleGrid(2 * n if r["nodes"] is None else r["nodes"])
     degree = min(8, n - 1)
-    s = shift.random_polynomial(t, config.seed, 0, degree=degree)
+    s = shift.polynomial_in(t, shift.random_polynomial(t, config.seed, 0, degree))
     powers = t.powers(n - 1)
     series = gauge.fourier_coefficients(s, grid, powers)
     norms = [operator_norm(p) for p in powers]
-    coeff_mass = sum(abs(series.coefficient(j)) * norms[j - 1]
-                     for j in range(1, n))
+    coeff_mass = sum(abs(c) * nrm for c, nrm in zip(series, norms))
     rep = ExperimentReport("fejer", _echo_params(config, r))
     rep.add("degree", degree)
     ok = True
@@ -178,8 +177,7 @@ def run_neumann(config: ExperimentConfig) -> ExperimentReport:
         extra = (rng.standard_normal(degree - k)
                  + 1j * rng.standard_normal(degree - k)) / math.sqrt(2.0)
         coeffs[k:] = extra
-        s = shift.polynomial_in(t, coeffs)
-        sub = shift.neumann_factor_check(s, k, t)
+        sub = shift.neumann_factor_check(coeffs, k, t)
         worst = max(worst, sub.value("relative_discrepancy"))
         all_ok = all_ok and sub.passed
     rep.add("trials", trials)
@@ -269,10 +267,13 @@ def run_gauge_scan(config: ExperimentConfig) -> ExperimentReport:
     operator's norm asymmetry."""
     r = config.resolved(dim=16, nodes=64, weights="harmonic")
     n, m = r["dim"], r["nodes"]
+    if n < 5:
+        raise ValueError(f"gauge-scan checks T^1..T^4, so dim must be at least 5, got {n}")
     grid = CircleGrid(m)
     w = shift.parse_weight_spec(r["weights"], n)
     t = shift.build_shift(w, n)
-    s = shift.random_polynomial(t, config.seed, 0, degree=min(8, n - 1))
+    coeffs = shift.random_polynomial(t, config.seed, 0, degree=min(8, n - 1))
+    s = shift.polynomial_in(t, coeffs)
     base = operator_norm(s)
     drift = max(abs(operator_norm(gauge.gauge_conjugate(s, lam)) - base)
                 for lam in grid.nodes)

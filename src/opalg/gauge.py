@@ -3,12 +3,14 @@
 For an operator S built from powers of a graded generator T, conjugation by
 the diagonal phase unitary D_lam = diag(lam^0, ..., lam^(N-1)) multiplies the
 k-th sub-diagonal band by lam^k.  Averaging those conjugates against lam^(-k)
-over the circle isolates the coefficient of T^k; the arithmetic-mean weighted
-partial sums reconstruct S (`fejer_coefficients` gives their coefficients,
-`shift.polynomial_in` lays them down).  The module also provides two
-computable certificates that an algebra generated by a single operator
-cannot carry an isometric circle action sending T to lam*T: a linear
-dependence among nonzero powers, and a norm asymmetry under the phase scan.
+over the circle isolates the coefficient of T^k; `fourier_coefficients`
+returns them as a coefficient vector (entry k-1 holds the coefficient of
+T^k, as in `shift`), and `fejer_coefficients` weights such a vector into
+the arithmetic-mean partial sums that reconstruct S (`shift.polynomial_in`
+lays them down).  The module also provides two computable certificates that
+an algebra generated by a single operator cannot carry an isometric circle
+action sending T to lam*T: a linear dependence among nonzero powers, and a
+norm asymmetry under the phase scan.
 """
 
 from __future__ import annotations
@@ -17,29 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import CircleGrid, as_array, jacobi_svd, operator_norm
+from .numkit import CircleGrid, jacobi_svd, operator_norm
 
 # Unit-circle membership tolerance for phases.
 _CIRCLE_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class FourierSeries:
-    """Map k -> coefficient of T^k, with a zero-threshold for index queries."""
-
-    coefficients: dict
-    truncation_dim: int
-    threshold: float
-
-    def coefficient(self, k: int) -> complex:
-        return self.coefficients.get(k, 0.0 + 0.0j)
-
-    def nonzero_indices(self):
-        return sorted(k for k, c in self.coefficients.items() if abs(c) > self.threshold)
-
-    def lowest_index(self):
-        idx = self.nonzero_indices()
-        return idx[0] if idx else None
 
 
 @dataclass(frozen=True)
@@ -63,17 +46,12 @@ class GaugeWitness:
     margin: float = 0.0
 
 
-def default_threshold(a) -> float:
-    """Coefficient threshold: 1e-10 times the scale of S (Frobenius norm)."""
-    return 1e-10 * float(np.linalg.norm(as_array(a)))
-
-
 def gauge_conjugate(a, lam: complex) -> np.ndarray:
     """Conjugate by diag(lam^0, ..., lam^(N-1)): entry (i,j) -> lam^(i-j) * a[i,j].
 
     For a weighted-shift truncation T this equals lam * T exactly.
     """
-    a = as_array(a)
+    a = np.asarray(a)
     lam = complex(lam)
     if abs(abs(lam) - 1.0) > _CIRCLE_TOL:
         raise ValueError(f"|lambda| = {abs(lam)} is off the unit circle")
@@ -81,14 +59,14 @@ def gauge_conjugate(a, lam: complex) -> np.ndarray:
     return (d[:, None] * a) * d.conj()[None, :]
 
 
-def fourier_coefficients(a, grid: CircleGrid, powers, threshold: float | None = None) -> FourierSeries:
+def fourier_coefficients(a, grid: CircleGrid, powers) -> np.ndarray:
     """Extract the coefficients of T^1..T^d from S by circle quadrature.
 
     Computes (1/M) sum_m gauge_conjugate(S, lam_m) * lam_m^(-k) -- which equals
     coeff(k) * T^k whenever M >= 2N -- then divides on the largest-magnitude
-    entry of the supplied T^k.
+    entry of the supplied T^k.  Entry k-1 of the result is coeff(k).
     """
-    a = as_array(a)
+    a = np.asarray(a)
     n = a.shape[0]
     m = grid.node_count
     if m < 2 * n:
@@ -99,25 +77,25 @@ def fourier_coefficients(a, grid: CircleGrid, powers, threshold: float | None = 
     # all quadratures at once: weights[k, m] = lam_m^(-k)
     weights = nodes[None, :] ** (-ks[:, None])
     integrals = np.tensordot(weights, conjugates, axes=(1, 0)) / m
-    tau = default_threshold(a) if threshold is None else float(threshold)
-    coeffs = {}
+    coeffs = np.empty(len(powers), dtype=complex)
     for k, tk in zip(ks, powers):
-        tk = as_array(tk)
-        flat = np.abs(tk).ravel()
-        idx = int(np.argmax(flat))
-        if flat[idx] == 0.0:
+        tk = np.asarray(tk).ravel()
+        idx = int(np.argmax(np.abs(tk)))
+        if tk[idx] == 0.0:
             raise ValueError(f"T^{k} vanishes at truncation dim {n}; cannot divide it out")
-        coeffs[int(k)] = complex(integrals[k - 1].ravel()[idx] / tk.ravel()[idx])
-    return FourierSeries(coeffs, n, tau)
+        coeffs[k - 1] = integrals[k - 1].ravel()[idx] / tk[idx]
+    return coeffs
 
 
-def fejer_coefficients(series: FourierSeries, n: int) -> np.ndarray:
-    """Coefficients ((n-j)/n) * coeff(j), j = 1..n, of the arithmetic-mean
-    (Cesaro) weighted partial sum of S; the j = n term carries weight zero."""
+def fejer_coefficients(coeffs, n: int) -> np.ndarray:
+    """Coefficients ((n-j)/n) * coeffs[j-1], j = 1..n, of the arithmetic-mean
+    (Cesaro) weighted partial sum of S; entries past the end of coeffs count
+    as zero, and the j = n term carries weight zero."""
     if n < 1:
         raise ValueError("n must be positive")
-    return np.array([((n - j) / n) * series.coefficient(j) for j in range(1, n + 1)],
-                    dtype=complex)
+    c = np.zeros(n, dtype=complex)
+    c[:min(n, len(coeffs))] = coeffs[:n]
+    return (n - np.arange(1, n + 1)) / n * c
 
 
 def certify_no_gauge_linear_dependence(powers, rel_tol: float = 1e-10,
@@ -132,7 +110,7 @@ def certify_no_gauge_linear_dependence(powers, rel_tol: float = 1e-10,
     """
     if len(powers) < 2:
         raise ValueError("need at least the powers T^1, T^2")
-    vecs = [as_array(p).ravel() for p in powers]
+    vecs = [np.asarray(p).ravel() for p in powers]
     for m in range(2, len(powers) + 1):
         stacked = np.column_stack(vecs[:m])
         sigmas, v = jacobi_svd(stacked)
@@ -142,7 +120,7 @@ def certify_no_gauge_linear_dependence(powers, rel_tol: float = 1e-10,
         if top_norm <= norm_floor:
             return None
         coeffs = v[:, -1]
-        combo = sum(c * as_array(p) for c, p in zip(coeffs, powers[:m]))
+        combo = sum(c * np.asarray(p) for c, p in zip(coeffs, powers[:m]))
         dep_norm = operator_norm(combo)
         return GaugeWitness(
             kind="linear_dependence",
@@ -167,7 +145,7 @@ def certify_no_gauge_norm_scan(coeffs, powers, grid: CircleGrid, margin: float,
         raise ValueError("need one coefficient per power")
     if not np.any(coeffs != 0):
         raise ValueError("all coefficients vanish")
-    mats = [as_array(p) for p in powers]
+    mats = [np.asarray(p) for p in powers]
     n = mats[0].shape[0]
     tol = max(norm_tol, 2.0 * np.finfo(float).eps * n)
     js = np.arange(1, len(coeffs) + 1)

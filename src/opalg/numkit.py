@@ -1,6 +1,6 @@
 """Foundation numerics: square complex matrices, operator 2-norm estimation
-with an independent SVD oracle, the roots-of-unity node grid, and bracketed
-root finding.
+with an independent SVD oracle, the truncated Cauchy product both algebras
+multiply with, the roots-of-unity node grid, and bracketed root finding.
 
 Everything here is a pure function on immutable inputs; all randomness
 (power-iteration restarts) is seeded by the restart index so results are
@@ -34,11 +34,6 @@ class ConvergenceError(RuntimeError):
     def __init__(self, message: str, last_value: float):
         super().__init__(f"{message} (last iterate {last_value!r})")
         self.last_value = last_value
-
-
-def as_array(a) -> np.ndarray:
-    """Unwrap a ComplexMatrix (or anything array-like) to an ndarray."""
-    return np.asarray(getattr(a, "entries", a))
 
 
 @dataclass(frozen=True)
@@ -151,7 +146,7 @@ def operator_norm(a, tol: float | None = None, restarts: int = 3,
     returns the maximum estimate.  The default tolerance is 1e-13, raised to
     4*eps*N for large matrices.
     """
-    a = as_array(a)
+    a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     _validate_finite(a)
@@ -215,7 +210,7 @@ def jacobi_svd(a, tol: float = 1e-14, max_sweeps: int = 60):
     factorisation and no code shared with `operator_norm` -- so it serves as
     the independent oracle for the power-iteration norms.
     """
-    a = as_array(a)
+    a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError("expected a matrix")
     m, n = a.shape
@@ -274,6 +269,12 @@ def svd_oracle(a) -> float:
     """Largest singular value via the dense Jacobi SVD (test/cross-check path)."""
     sigmas, _ = jacobi_svd(a)
     return float(sigmas[0])
+
+
+def cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cauchy product of two coefficient arrays truncated to the length of a:
+    the product in C[x]/(x^len(a)), where both algebras compute."""
+    return np.convolve(a, b)[:len(a)]
 
 
 def find_root(f, bracket, tol: float) -> RootSolve:

@@ -2,12 +2,15 @@
 
 The generator is the one-band lower-triangular matrix T e_n = a_n e_{n+1}
 (T e_{N-1} = 0); T^k is the single band T^k[j+k, j] = a_j ... a_{j+k-1}, so
-T^N = 0 and `polynomial_in` lays polynomials down band by band.  The k-th
-coefficient of S is entry (k, 0) over a_0 ... a_{k-1}.  The operations here
-verify norm (in)equivalence between ||S|| and ||S e_0||, extreme points of
-the unit ball, quasinilpotence of the weight family, and the ideal structure
-(every nonzero element generates the same closed ideal as the power T^k at
-its lowest coefficient).
+T^N = 0.  At truncation N the map sum_k c_k T^k -> (c_1, ..., c_{N-1}) is an
+algebra isomorphism onto x C[x]/(x^N), so an element here is its coefficient
+vector c, entry k-1 holding the coefficient of T^k.  Products are truncated
+Cauchy products (`numkit.cauchy`), the lowest index is the first nonzero
+entry, and `polynomial_in` lays an element down as a matrix, band by band,
+only where a norm or a matrix comparison needs one.  The operations here
+verify norm (in)equivalence between ||S|| and ||S e_0||, quasinilpotence of
+the weight family, and the ideal structure (every nonzero element generates
+the same closed ideal as the power T^k at its lowest coefficient).
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauge import FourierSeries, default_threshold
-from .numkit import as_array, operator_norm
+from .numkit import cauchy, operator_norm
 from .report import ExperimentReport
 
 HARMONIC = "harmonic"
@@ -112,10 +114,6 @@ class ShiftTruncation:
             p.flat[cells] = band
         return out
 
-    def weight_products(self) -> np.ndarray:
-        """Products a_0...a_{k-1} for k = 1..N-1 (the e_0 column scales)."""
-        return np.cumprod(self.weights.materialized(self.dim - 1))
-
 
 def build_shift(weights: WeightSequence, n: int) -> ShiftTruncation:
     """Check the truncation can be laid down; ||T|| equals the largest |a_k| used."""
@@ -138,23 +136,7 @@ def _bands(t: ShiftTruncation, d: int):
 
 def vector_norm_at_e0(s) -> float:
     """||S e_0||, the Hilbert-space norm of the first column."""
-    return float(np.linalg.norm(as_array(s)[:, 0]))
-
-
-def column_coefficients(s, t: ShiftTruncation, threshold: float | None = None) -> FourierSeries:
-    """Coefficients read off the e_0 column: coeff(k) = S[k,0] / (a_0...a_{k-1}).
-
-    This is the band-extraction route, independent of circle quadrature, and
-    exact for polynomials in T.
-    """
-    s = as_array(s)
-    if s.shape[0] != t.dim:
-        raise ValueError("operator and truncation dims differ")
-    prods = t.weight_products()
-    col = s[:, 0]
-    coeffs = {k: complex(col[k] / prods[k - 1]) for k in range(1, t.dim)}
-    tau = default_threshold(s) if threshold is None else float(threshold)
-    return FourierSeries(coeffs, t.dim, tau)
+    return float(np.linalg.norm(np.asarray(s)[:, 0]))
 
 
 def polynomial_in(t: ShiftTruncation, coeffs) -> np.ndarray:
@@ -167,14 +149,13 @@ def polynomial_in(t: ShiftTruncation, coeffs) -> np.ndarray:
 
 
 def random_polynomial(t: ShiftTruncation, seed, trial: int, degree: int | None = None) -> np.ndarray:
-    """Polynomial with i.i.d. standard complex Gaussian coefficients.
+    """Coefficients of a polynomial in T, i.i.d. standard complex Gaussian.
 
     The per-trial stream is derived deterministically from (seed, trial).
     """
     rng = np.random.default_rng([int(seed), int(trial)])
     d = t.dim - 1 if degree is None else min(degree, t.dim - 1)
-    coeffs = (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / math.sqrt(2.0)
-    return polynomial_in(t, coeffs)
+    return (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / math.sqrt(2.0)
 
 
 def norm_equivalence_report(t: ShiftTruncation, trials: int, seed) -> ExperimentReport:
@@ -195,7 +176,7 @@ def norm_equivalence_report(t: ShiftTruncation, trials: int, seed) -> Experiment
     rep.add("bound_constant", bound)
     worst = 0.0
     for trial in range(trials):
-        s = random_polynomial(t, seed, trial)
+        s = polynomial_in(t, random_polynomial(t, seed, trial))
         ratio = operator_norm(s) / vector_norm_at_e0(s)
         rep.add(f"ratio_{trial:03d}", ratio)
         worst = max(worst, ratio)
@@ -236,13 +217,6 @@ def inequivalence_demo(n: int) -> ExperimentReport:
     return rep
 
 
-def extreme_point_check(s) -> bool:
-    """Sufficient condition for extremality in the unit ball (decreasing
-    weights): the operator norm and the e_0-image norm both equal 1."""
-    return (abs(operator_norm(s) - 1.0) < 1e-9
-            and abs(vector_norm_at_e0(s) - 1.0) < 1e-9)
-
-
 def quasinilpotence_profile(weights: WeightSequence, n_max: int, k_max: int) -> ExperimentReport:
     """beta_n = sup_{k <= k_max} |a_{k+1} ... a_{k+n}|^(1/n) for n = 1..n_max.
 
@@ -271,45 +245,53 @@ def quasinilpotence_profile(weights: WeightSequence, n_max: int, k_max: int) -> 
     return rep
 
 
-def ideal_generator_index(s, t: ShiftTruncation, threshold: float | None = None) -> int:
-    """Lowest k with |coeff(k)| above threshold: the ideal generated by S is
-    the one generated by T^k."""
-    series = column_coefficients(s, t, threshold)
-    k = series.lowest_index()
-    if k is None:
-        raise ValueError("zero element: all coefficients below threshold")
-    return k
+def lowest_index(c) -> int | None:
+    """k of the first nonzero coefficient (that of T^k); None for zero."""
+    nonzero = np.flatnonzero(c)
+    return int(nonzero[0]) + 1 if nonzero.size else None
 
 
-def neumann_factor_check(s, k: int, t: ShiftTruncation) -> ExperimentReport:
+def _series(c, n: int) -> np.ndarray:
+    """Coefficient vector c as the power series sum_k c_k x^k mod x^n."""
+    c = np.asarray(c, dtype=complex)[:n - 1]
+    out = np.zeros(n, dtype=complex)
+    out[1:c.size + 1] = c
+    return out
+
+
+def product(r, s, n: int) -> np.ndarray:
+    """Coefficients of R S at truncation n: the truncated Cauchy product."""
+    return cauchy(_series(r, n), _series(s, n))[1:]
+
+
+def neumann_factor_check(coeffs, k: int, t: ShiftTruncation) -> ExperimentReport:
     """Certify <S> = <T^k> by summing the finite Neumann series.
 
-    With S normalized so coeff(k) = 1, write S = T^k (I - R); because R has
-    no constant term it is nilpotent at truncation, so
-    S + S R + S R^2 + ... terminates and telescopes to T^k exactly.
+    S = sum_j coeffs[j-1] T^j factors as lead T^k Q, where Q has coefficients
+    coeffs[k+j-1] / lead on T^j and unit constant term.  R = I - Q has no
+    constant term, so it is nilpotent at truncation, and Q + Q R + Q R^2 + ...
+    terminates and telescopes to I: (S / lead)(I + R + R^2 + ...) = T^k.  The
+    chain runs as Cauchy products on the N - k coefficients of Q and ends in
+    exact zeros; the sum is laid down once and compared with T^k.
     """
-    s = np.array(as_array(s), dtype=complex)
-    series = column_coefficients(s, t)
-    lead = series.coefficient(k)
-    if abs(lead) <= series.threshold:
-        raise ValueError(f"coefficient at k={k} is below threshold")
-    low = series.lowest_index()
+    n = t.dim
+    coeffs = np.asarray(coeffs, dtype=complex)[:n - 1]
+    low = lowest_index(coeffs)
     if low != k:
         raise ValueError(f"lowest nonzero coefficient is {low}, not k={k}")
-    s = s / lead
-    n = t.dim
-    coeffs = column_coefficients(s, t)
-    # Q = sum_{j>=0} coeff(k+j) T^j has unit constant term; R = I - Q
-    r = polynomial_in(t, [-coeffs.coefficient(k + j) for j in range(1, n - k)])
-    acc, term = s.copy(), s
-    for _ in range(n):
-        term = term @ r
-        if not np.any(term):
-            break
+    lead = coeffs[k - 1]
+    q = _series(coeffs[k:] / lead, n - k)
+    q[0] = 1.0
+    r = -q
+    r[0] = 0.0
+    acc, term = q.copy(), q
+    for _ in range(n - k - 1):  # R^(N-k) = 0 at this length
+        term = cauchy(term, r)
         acc += term
     tk = t.powers(k)[k - 1]
+    total = polynomial_in(t, np.concatenate([np.zeros(k - 1), acc]))
+    delta = float(np.max(np.abs(total - tk)))
     scale = float(np.max(np.abs(tk)))
-    delta = float(np.max(np.abs(acc - tk)))
     rep = ExperimentReport("neumann-factor", {"k": k, "dim": n})
     rep.add("normalization_magnitude", abs(lead))
     rep.add("target_scale", scale)
@@ -319,52 +301,31 @@ def neumann_factor_check(s, k: int, t: ShiftTruncation) -> ExperimentReport:
     return rep
 
 
-def invariant_subspace_of_ideal(k: int, t: ShiftTruncation) -> np.ndarray:
-    """Basis (as columns) of span{e_k, ..., e_{N-1}}, the invariant subspace
-    matched to the closed ideal generated by T^k.
-
-    Verifies T-invariance and that the e_0 images of T^k..T^{N-1} span it.
-    """
-    n = t.dim
-    if not 1 <= k < n:
-        raise ValueError(f"k must lie in [1, {n - 1}]")
-    basis = np.eye(n, dtype=complex)[:, k:]
-    # invariance: rows above k of T restricted to the span must vanish
-    residual = float(np.max(np.abs(t.powers(1)[0][:k, k:])))
-    if residual > 1e-12:
-        raise RuntimeError(f"subspace not T-invariant, residual {residual}")
-    # the e_0 images of the monomial ideal basis hit every e_j, j >= k
-    prods = t.weight_products()
-    if np.any(prods[k - 1:] == 0):
-        raise RuntimeError("weight product vanished; images do not span")
-    return basis
-
-
 def lowest_index_of_product(r, s, t: ShiftTruncation) -> ExperimentReport:
     """Check lowest-index additivity under multiplication.
 
-    If R and S have lowest coefficients at j0 and k0 with j0 + k0 < N, then
-    RS has lowest coefficient at j0 + k0 equal to the product of the leading
-    coefficients; the algebra has no zero divisors below truncation depth.
+    If the coefficient vectors r and s have lowest indices j0 and k0 with
+    j0 + k0 < N, their truncated Cauchy product -- the coefficients of the
+    operator product, as the homomorphism property tests pin -- has lowest
+    index j0 + k0, with the product of the leading coefficients there; the
+    algebra has no zero divisors below truncation depth.
     """
-    r = as_array(r)
-    s = as_array(s)
-    sr = column_coefficients(r, t)
-    ss = column_coefficients(s, t)
-    j0 = sr.lowest_index()
-    k0 = ss.lowest_index()
+    n = t.dim
+    r = np.asarray(r, dtype=complex)[:n - 1]
+    s = np.asarray(s, dtype=complex)[:n - 1]
+    j0 = lowest_index(r)
+    k0 = lowest_index(s)
     if j0 is None or k0 is None:
         raise ValueError("zero factor")
-    if j0 + k0 >= t.dim:
+    if j0 + k0 >= n:
         raise ValueError(
-            f"lowest indices {j0} + {k0} reach truncation dim {t.dim}; "
+            f"lowest indices {j0} + {k0} reach truncation dim {n}; "
             "the product would be silently annihilated")
-    prod = r @ s
-    sp = column_coefficients(prod, t)
-    low = sp.lowest_index()
-    lead_expected = sr.coefficient(j0) * ss.coefficient(k0)
-    lead = sp.coefficient(j0 + k0)
-    rep = ExperimentReport("lowest-index-product", {"dim": t.dim})
+    prod = product(r, s, n)
+    low = lowest_index(prod)
+    lead_expected = r[j0 - 1] * s[k0 - 1]
+    lead = prod[j0 + k0 - 1]
+    rep = ExperimentReport("lowest-index-product", {"dim": n})
     rep.add("j0", j0)
     rep.add("k0", k0)
     rep.add("product_lowest_index", low if low is not None else -1)

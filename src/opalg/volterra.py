@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import ComplexMatrix, find_root, operator_norm, toeplitz_operator_norm
+from .numkit import ComplexMatrix, cauchy, find_root, operator_norm, toeplitz_operator_norm
 from .report import ExperimentReport
 
 MAX_DENSE_DIM = 4096  # memory guard of build_vf
@@ -292,12 +292,6 @@ def sigma_max(mu, tol: float | None = None) -> float:
     return toeplitz_operator_norm(mu, tol=tol, restarts=3)
 
 
-def _cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cauchy product of two cell arrays, truncated to the length of a: the mu
-    of `convolve`, alone, for the power chains that read nothing else."""
-    return np.convolve(a, b)[:len(a)]
-
-
 def convolve(f: SampledKernel, g: SampledKernel) -> SampledKernel:
     """Causal convolution at cell level: the Cauchy product of the cell arrays.
 
@@ -311,8 +305,8 @@ def convolve(f: SampledKernel, g: SampledKernel) -> SampledKernel:
     if f.grid_size != g.grid_size:
         raise ValueError("kernels live on different grids")
     n = f.grid_size
-    mu = _cauchy(f.mu, g.mu)
-    absc = _cauchy(f.abs_cells, g.abs_cells)
+    mu = cauchy(f.mu, g.mu)
+    absc = cauchy(f.abs_cells, g.abs_cells)
     centers = np.maximum(np.arange(n), 0.25) * (1.0 / n)
     widths = np.full(n, 1.0 / n)
     widths[0] = 0.5 / n
@@ -341,7 +335,7 @@ def power_kernel_check(p: int, n: int) -> ExperimentReport:
     rep = ExperimentReport("power-kernel", {"p": p, "dim": n})
     errs = {}
     for dim in (n, 2 * n):
-        power = functools.reduce(_cauchy, [kernel_constant(1.0, dim).mu] * (p + 1))
+        power = functools.reduce(cauchy, [kernel_constant(1.0, dim).mu] * (p + 1))
         errs[dim] = sigma_max(power - kernel_power(p, dim).mu)
         rep.add(f"error_dim_{dim}", errs[dim])
     if p == 0:
@@ -392,7 +386,7 @@ def power_norm_table(n_max: int, n: int) -> ExperimentReport:
     if n < 512:
         raise ValueError("need at least 512 grid points for an honest trend")
     rep = ExperimentReport("power-norms", {"dim": n, "n_max": n_max})
-    powers = itertools.accumulate([kernel_constant(1.0, n).mu] * n_max, _cauchy)
+    powers = itertools.accumulate([kernel_constant(1.0, n).mu] * n_max, cauchy)
     values = []
     for p, power in enumerate(powers, 1):
         c = math.factorial(p) * sigma_max(power)
@@ -501,7 +495,7 @@ def muntz_no_gauge_demo(degree: int, n: int, fit_points: int = 1000) -> Experime
     coeffs = np.linalg.solve(r, q.T @ xs)
     eps = float(np.max(np.abs(xs - basis @ coeffs)))
     powers = list(itertools.accumulate([kernel_constant(1.0, n).mu] * (degree + 1),
-                                       _cauchy))  # powers[j] is V^(j+1)
+                                       cauchy))  # powers[j] is V^(j+1)
     combo = sum(math.factorial(j) * coeffs[j - 2] * powers[j]
                 for j in range(2, degree + 1))
     sigma = sigma_max(powers[1] - combo)

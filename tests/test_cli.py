@@ -35,6 +35,12 @@ class TestValidation:
         assert main(["neumann", "--dim", dim]) == 2
         assert f"dim must be at least 4, got {dim}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim", ["2", "3", "4"])
+    def test_gauge_scan_dim_below_five_rejected(self, dim, capsys):
+        # the scan checks T^1..T^4 for independence, and T^dim = 0
+        assert main(["gauge-scan", "--dim", dim]) == 2
+        assert f"dim must be at least 5, got {dim}" in capsys.readouterr().err
+
     def test_bad_weight_spec(self):
         proc = run_cli("equivalence", "--weights", "fibonacci", "--nmax", "2")
         assert proc.returncode == 2
