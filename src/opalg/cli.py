@@ -178,7 +178,8 @@ def run_neumann(config: ExperimentConfig) -> ExperimentReport:
                  + 1j * rng.standard_normal(degree - k)) / math.sqrt(2.0)
         coeffs[k:] = extra
         sub = shift.neumann_factor_check(coeffs, k, t)
-        worst = max(worst, sub.value("relative_discrepancy"))
+        # np.maximum, not max: max(0.0, nan) is 0.0 and would hide a NaN
+        worst = float(np.maximum(worst, sub.value("relative_discrepancy")))
         all_ok = all_ok and sub.passed
     rep.add("trials", trials)
     rep.add("worst_relative_discrepancy", worst)

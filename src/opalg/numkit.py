@@ -91,6 +91,18 @@ def _validate_finite(a: np.ndarray):
         raise ValueError("matrix contains NaN or Inf entries")
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm of a vector: `np.linalg.norm`'s own 1-D formula, bit for
+    bit, without its argument dispatch (which costs as much as the dot product
+    on small vectors).  The ravel keeps its summation order: a strided view is
+    copied to unit stride first, as `np.linalg.norm` does."""
+    x = x.ravel(order="K")
+    if np.iscomplexobj(x):
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
+
+
 def _power_iterate(matvec, rmatvec, n, complex_start, tol, restarts, max_iter, label):
     """Shared power-iteration core on A*A with seeded restarts.
 
@@ -98,6 +110,10 @@ def _power_iterate(matvec, rmatvec, n, complex_start, tol, restarts, max_iter, l
     run terminates once the relative iterate change stays below tol for three
     consecutive steps.  Every estimate is of the form ||Av|| for a unit v,
     hence a certified lower bound on the norm.
+
+    `matvec` and `rmatvec` may return a view of a buffer that their next call
+    overwrites: the core reads w = A v before it calls `rmatvec`, and the
+    next iterate z/||z|| is a fresh array.
     """
     if tol < _EPS * n:
         raise ValueError(f"tol={tol} below machine resolution eps*N={_EPS * n}")
@@ -109,17 +125,17 @@ def _power_iterate(matvec, rmatvec, n, complex_start, tol, restarts, max_iter, l
         v = rng.standard_normal(n)
         if complex_start:
             v = v + 1j * rng.standard_normal(n)
-        v = v / np.linalg.norm(v)
+        v = v / _norm(v)
         sigma = 0.0
         settled = 0
         for _ in range(max_iter):
             w = matvec(v)
-            s = float(np.linalg.norm(w))
+            s = _norm(w)
             if s == 0.0:
                 sigma = 0.0
                 break
             z = rmatvec(w)
-            nz = float(np.linalg.norm(z))
+            nz = _norm(z)
             if nz == 0.0:
                 sigma = s
                 break
@@ -335,12 +351,18 @@ def toeplitz_operator_norm(first_column, tol: float = 1e-10, restarts: int = 2,
     pair, and power iteration starts from the same real seeded vectors as
     `operator_norm` on the dense real matrix.  A complex column uses
     `fft`/`ifft` and complex starts.
+
+    The spectrum of the column and its conjugate are computed once.  Every
+    product transforms into one reused spectrum buffer, multiplies it in
+    place and transforms back into one reused signal buffer, so a power step
+    allocates only the next iterate; `matvec` and `rmatvec` return views of
+    the signal buffer (see `_power_iterate`).
     """
     col = np.asarray(first_column)
     if col.ndim != 1 or col.size == 0:
         raise ValueError("first_column must be a nonempty vector")
     is_complex = np.iscomplexobj(col)
-    col = col.astype(complex if is_complex else float)
+    col = np.asarray(col, dtype=complex if is_complex else float)
     _validate_finite(col)
     n = col.size
     length = 1
@@ -349,12 +371,17 @@ def toeplitz_operator_norm(first_column, tol: float = 1e-10, restarts: int = 2,
     forward, inverse = ((np.fft.fft, np.fft.ifft) if is_complex
                         else (np.fft.rfft, np.fft.irfft))
     chat = forward(col, length)
+    chat_conj = np.conj(chat)
+    spec = np.empty_like(chat)
+    signal = np.empty(length, dtype=col.dtype)
 
-    def matvec(v):
-        return inverse(chat * forward(v, length), length)[:n]
+    def product(factor, v):
+        forward(v, length, out=spec)
+        # factor first: numpy's SIMD complex multiply is not symmetric bit for bit
+        np.multiply(factor, spec, out=spec)
+        inverse(spec, length, out=signal)
+        return signal[:n]
 
-    def rmatvec(v):
-        return inverse(np.conj(chat) * forward(v, length), length)[:n]
-
-    return _power_iterate(matvec, rmatvec, n, is_complex, tol, restarts, max_iter,
+    return _power_iterate(lambda v: product(chat, v), lambda w: product(chat_conj, w),
+                          n, is_complex, tol, restarts, max_iter,
                           "Toeplitz power iteration")

@@ -1,11 +1,13 @@
 """CLI dispatch, serialization, and determinism tests."""
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from opalg import shift
 from opalg.cli import ExperimentConfig, emit_report, main, run_experiment
 from opalg.report import ExperimentReport, parse_csv
 
@@ -101,6 +103,19 @@ class TestExperiments:
     def test_neumann_small(self):
         rep = run_experiment(ExperimentConfig("neumann", dim=24, nmax=5, seed=2))
         assert rep.passed
+
+    def test_neumann_nan_discrepancy_reported(self, monkeypatch, tmp_path):
+        # a max() fold would hide it: max(0.0, nan) is 0.0
+        def nan_check(coeffs, k, t):
+            rep = ExperimentReport("neumann-factor")
+            rep.add("relative_discrepancy", math.nan)
+            rep.check("neumann_sum_equals_power", False)
+            return rep
+
+        monkeypatch.setattr(shift, "neumann_factor_check", nan_check)
+        out = tmp_path / "neumann.csv"
+        assert main(["neumann", "--out", str(out)]) == 1
+        assert b"\nworst_relative_discrepancy,nan\n" in out.read_bytes()
 
     def test_titchmarsh_small(self):
         rep = run_experiment(ExperimentConfig("titchmarsh", dim=120))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from opalg.numkit import (
     ComplexMatrix,
     ConvergenceError,
+    _norm,
     _round_robin,
     find_root,
     jacobi_svd,
@@ -77,6 +78,35 @@ class TestComplexMatrix:
         assert not np.shares_memory(np.array(m, dtype=complex), m.entries)
         with pytest.raises(ValueError):
             np.asarray(m, dtype=complex, copy=False)
+
+
+@st.composite
+def norm_inputs(draw):
+    """Real or complex vectors of length 1..4096 with entries spread over
+    twenty decades, as fresh arrays or as the views power iteration meets:
+    the real part of a complex array, a stride-2 view and a buffer prefix."""
+    n = draw(st.integers(1, 4096))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def sample():
+        return rng.standard_normal(2 * n) * 10.0 ** rng.uniform(-10.0, 10.0, 2 * n)
+
+    buf = sample() + 1j * sample() if draw(st.booleans()) else sample()
+    view = draw(st.sampled_from(["copy", "real", "step", "prefix"]))
+    if view == "copy":
+        return buf[:n].copy()
+    if view == "real":
+        return np.asarray(buf, dtype=complex).real[:n]
+    if view == "step":
+        return buf[::2]
+    return buf[:n]
+
+
+class TestNorm:
+    @settings(deadline=None, derandomize=True)
+    @given(norm_inputs())
+    def test_same_bits_as_linalg_norm(self, x):
+        assert _norm(x) == float(np.linalg.norm(x))
 
 
 class TestOperatorNorm:
@@ -333,3 +363,36 @@ class TestToeplitzNorm:
         dense = np.where(idx >= 0, col[np.clip(idx, 0, n - 1)], 0.0)
         assert toeplitz_operator_norm(col, tol=1e-12, restarts=3) == pytest.approx(
             operator_norm(dense, tol=1e-12, restarts=3), abs=1e-12)
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(st.integers(1, 512), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_complex_column_within_l1_mass(self, n, spike, seed):
+        # ||T|| <= ||mu||_1, with equality for a single spike c e_k (T = c S^k);
+        # three restarts reuse the fft/ifft buffers of one call
+        rng = np.random.default_rng(seed)
+        col = np.zeros(n, dtype=complex)
+        if spike:
+            col[rng.integers(n)] = rng.standard_normal() + 1j * rng.standard_normal()
+        else:
+            col[:] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        tol = 1e-10
+        sigma = toeplitz_operator_norm(col, tol=tol, restarts=3)
+        assert sigma <= np.abs(col).sum() * (1.0 + tol)
+
+    def test_power_step_allocates_only_the_next_iterate(self):
+        mu = kernel_notell1(12, 2**15).mu
+        n = mu.size
+        # fill the transform plan cache, which outlives the call
+        toeplitz_operator_norm(mu, tol=1e-9)
+        tracemalloc.start()
+        try:
+            toeplitz_operator_norm(mu, tol=1e-9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The FFT length is 2n.  Live at once: the column spectrum, its
+        # conjugate and the spectrum buffer (n + 1 complex, about 16n bytes each),
+        # the signal buffer (2n floats, 16n bytes), and the current and next
+        # unit iterates (8n bytes each): 80n bytes.  Half an iterate of slack
+        # covers the small transients; one more 8n array per step does not fit.
+        assert peak <= 80 * n + 4 * n

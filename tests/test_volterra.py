@@ -204,6 +204,22 @@ class TestL1Bound:
         assert rep.passed
         assert rep.value("sigma_max") <= 0.5
 
+    @settings(deadline=None, derandomize=True)
+    @given(st.integers(1, 2 * SIGMA_MAX_DENSE_DIM), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_sigma_max_within_l1_mass(self, n, spike, seed):
+        # ||T|| <= ||mu||_1 on both sides of the dense crossover.  Nonnegative
+        # columns come close to the bound and a spike c e_k (T = c S^k) meets
+        # it, so rounding above it shows; above the crossover three restarts
+        # reuse the rfft/irfft buffers of one call.
+        rng = np.random.default_rng(seed)
+        mu = np.zeros(n)
+        if spike:
+            mu[rng.integers(n)] = rng.standard_normal()
+        else:
+            mu[:] = np.abs(rng.standard_normal(n))
+        tol = max(1e-13, 4.0 * np.finfo(float).eps * n)
+        assert sigma_max(mu) <= np.abs(mu).sum() * (1.0 + tol)
+
 
 class TestHsNorm:
     def test_constant(self):
