@@ -139,7 +139,7 @@ def run_fejer(config: ExperimentConfig) -> ExperimentReport:
     s = shift.polynomial_in(t, shift.random_polynomial(t, config.seed, 0, degree))
     powers = t.powers(n - 1)
     series = gauge.fourier_coefficients(s, grid, powers)
-    norms = [operator_norm(p) for p in powers]
+    norms = operator_norm(np.stack(powers))
     coeff_mass = sum(abs(c) * nrm for c, nrm in zip(series, norms))
     rep = ExperimentReport("fejer", _echo_params(config, r))
     rep.add("degree", degree)
@@ -276,8 +276,8 @@ def run_gauge_scan(config: ExperimentConfig) -> ExperimentReport:
     coeffs = shift.random_polynomial(t, config.seed, 0, degree=min(8, n - 1))
     s = shift.polynomial_in(t, coeffs)
     base = operator_norm(s)
-    drift = max(abs(operator_norm(gauge.gauge_conjugate(s, lam)) - base)
-                for lam in grid.nodes)
+    conjugates = np.stack([gauge.gauge_conjugate(s, lam) for lam in grid.nodes])
+    drift = max(abs(norm - base) for norm in operator_norm(conjugates))
     rep = ExperimentReport("gauge-scan", _echo_params(config, r))
     rep.add("shift_isometry_drift", drift)
     rep.check("shift_scan_isometric", drift < 1e-9)

@@ -149,11 +149,9 @@ def certify_no_gauge_norm_scan(coeffs, powers, grid: CircleGrid, margin: float,
     n = mats[0].shape[0]
     tol = max(norm_tol, 2.0 * np.finfo(float).eps * n)
     js = np.arange(1, len(coeffs) + 1)
-    norms = []
-    for lam in grid.nodes:
-        s = sum((lam**j * c) * t for j, c, t in zip(js, coeffs, mats))
-        norms.append(operator_norm(s, tol=tol))
-    norms = np.asarray(norms)
+    scan = np.stack([sum((lam**j * c) * t for j, c, t in zip(js, coeffs, mats))
+                     for lam in grid.nodes])
+    norms = np.asarray(operator_norm(scan, tol=tol))
     base = norms[0]  # node 0 is lam = 1
     if base == 0.0:
         raise ValueError("reference norm at lambda = 1 vanishes")

@@ -23,6 +23,9 @@ SVD_ORACLE_MAX_DIM = 512
 # Restart cap for power iteration.
 POWER_ITERATION_CAP = 100_000
 
+# Working-set budget of one power-iteration block (see `_power_iterate`).
+BLOCK_BYTES = 256 * 1024
+
 
 class ConvergenceError(RuntimeError):
     """An iterative kernel hit its iteration cap.
@@ -91,88 +94,162 @@ def _validate_finite(a: np.ndarray):
         raise ValueError("matrix contains NaN or Inf entries")
 
 
-def _norm(x: np.ndarray) -> float:
-    """Euclidean norm of a vector: `np.linalg.norm`'s own 1-D formula, bit for
-    bit, without its argument dispatch (which costs as much as the dot product
-    on small vectors).  The ravel keeps its summation order: a strided view is
-    copied to unit stride first, as `np.linalg.norm` does."""
-    x = x.ravel(order="K")
-    if np.iscomplexobj(x):
+def _row_norms(x: np.ndarray) -> list:
+    """Euclidean norm of each row of a 2-D array, as a list of floats, bit for
+    bit `np.linalg.norm` of that row, without its argument dispatch (which
+    costs as much as the dot product on small vectors).  `np.vecdot` makes
+    the same BLAS dot per row as that formula; a block with strided rows is
+    first copied to unit stride, as `np.linalg.norm`'s ravel copies a strided
+    vector, because BLAS sums a strided vector in another order."""
+    if x.strides[-1] != x.itemsize:
+        x = np.ascontiguousarray(x)
+    if x.dtype.kind == "c":
         re, im = x.real, x.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(x.dot(x))
+        return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)).tolist()
+    return np.sqrt(np.vecdot(x, x)).tolist()
 
 
-def _power_iterate(matvec, rmatvec, n, complex_start, tol, restarts, max_iter, label):
-    """Shared power-iteration core on A*A with seeded restarts.
+def _block_rows(row_bytes: int) -> int:
+    """Rows per power-iteration block: as many as fit in BLOCK_BYTES, at least one."""
+    return max(1, BLOCK_BYTES // max(row_bytes, 1))
+
+
+def _starts(n: int, seeds: list, complex_start: bool) -> np.ndarray:
+    """Unit start vectors, one row per seed, each drawn from `default_rng(seed)`;
+    a seed that repeats is drawn once."""
+    distinct = list(dict.fromkeys(seeds))
+    v = np.empty((len(distinct), n), dtype=complex if complex_start else float)
+    for row, seed in zip(v, distinct):
+        rng = np.random.default_rng(seed)
+        if complex_start:
+            row[:] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        else:
+            rng.standard_normal(out=row)
+    v /= np.array(_row_norms(v))[:, None]
+    return v if len(distinct) == len(seeds) else v[[distinct.index(s) for s in seeds]]
+
+
+def _power_iterate(bind, operators, n, row_bytes, complex_start, tol, restarts,
+                   max_iter, label):
+    """Shared power-iteration core on A*A with seeded restarts, for
+    `operators` operators of dimension n.  Returns one norm per operator.
 
     The iterates s_k = ||A v_k|| increase monotonically towards the norm; a
     run terminates once the relative iterate change stays below tol for three
     consecutive steps.  Every estimate is of the form ||Av|| for a unit v,
-    hence a certified lower bound on the norm.
+    hence a certified lower bound on the norm.  Restart r (1, ..., restarts)
+    starts from `default_rng(r)`; an operator's norm is the largest of its
+    restarts' estimates.
 
-    `matvec` and `rmatvec` may return a view of a buffer that their next call
-    overwrites: the core reads w = A v before it calls `rmatvec`, and the
-    next iterate z/||z|| is a fresh array.
+    A row is one (operator, restart) pair, numbered operator by operator.
+    Rows advance together in blocks of `_block_rows(row_bytes)`: a power step
+    makes one `matvec`, one `rmatvec` and one row-norm call for the whole
+    block, and a row leaves the block once it settles or its iterate
+    vanishes.  Each row takes exactly the steps, and gets exactly the bits,
+    of a one-vector loop over that restart alone; a ConvergenceError carries
+    the estimate of the first row still running, the restart such a loop
+    would have failed on.
+
+    `bind(ops)` takes the operator index of each row of a block and returns
+    the block's (matvec, rmatvec) pair; it is called again, after the
+    previous pair is released, whenever rows leave.  Both map a (rows, n)
+    array to one row of A v (or A* w) per row, and may return a view of a
+    buffer that their next call overwrites: the core reads w = A v before it
+    calls `rmatvec`, and the next iterates z / ||z|| are a fresh array.
     """
-    if tol < _EPS * n:
+    if not tol >= _EPS * n:  # also rejects NaN
         raise ValueError(f"tol={tol} below machine resolution eps*N={_EPS * n}")
     if restarts < 1:
         raise ValueError("restarts must be positive")
-    best = 0.0
-    for restart in range(1, restarts + 1):
-        rng = np.random.default_rng(restart)
-        v = rng.standard_normal(n)
-        if complex_start:
-            v = v + 1j * rng.standard_normal(n)
-        v = v / _norm(v)
-        sigma = 0.0
-        settled = 0
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
+    total = operators * restarts
+    sigmas = [0.0] * total
+    per_block = _block_rows(row_bytes)
+    matvec = rmatvec = None
+    for first in range(0, total, per_block):
+        live = list(range(first, min(first + per_block, total)))
+        v = _starts(n, [row % restarts + 1 for row in live], complex_start)
+        sigma = [0.0] * len(live)
+        settled = [0] * len(live)
         for _ in range(max_iter):
+            if matvec is None:
+                matvec, rmatvec = bind([row // restarts for row in live])
             w = matvec(v)
-            s = _norm(w)
-            if s == 0.0:
-                sigma = 0.0
-                break
+            s = _row_norms(w)
             z = rmatvec(w)
-            nz = _norm(z)
-            if nz == 0.0:
-                sigma = s
-                break
-            v = z / nz
-            if abs(s - sigma) <= tol * s:
-                settled += 1
-            else:
-                settled = 0
-            sigma = s
-            if settled >= 3:
-                break
+            nz = _row_norms(z)
+            keep = []
+            for i, row in enumerate(live):
+                if s[i] == 0.0 or nz[i] == 0.0:
+                    sigmas[row] = s[i]
+                    continue
+                settled[i] = settled[i] + 1 if abs(s[i] - sigma[i]) <= tol * s[i] else 0
+                sigma[i] = s[i]
+                if settled[i] >= 3:
+                    sigmas[row] = s[i]
+                else:
+                    keep.append(i)
+            if len(keep) < len(live):
+                # drop the block's operands before `bind` builds the next ones
+                matvec = rmatvec = None
+                if not keep:
+                    break
+                live = [live[i] for i in keep]
+                sigma = [sigma[i] for i in keep]
+                settled = [settled[i] for i in keep]
+                nz = [nz[i] for i in keep]
+                z = z[keep]
+            v = z / np.array(nz)[:, None]
         else:
             raise ConvergenceError(
-                f"{label} did not settle within {max_iter} iterations", sigma)
-        best = max(best, sigma)
-    return best
+                f"{label} did not settle within {max_iter} iterations", sigma[0])
+    return [max(0.0, *sigmas[k:k + restarts]) for k in range(0, total, restarts)]
 
 
 def operator_norm(a, tol: float | None = None, restarts: int = 3,
-                  max_iter: int = POWER_ITERATION_CAP) -> float:
+                  max_iter: int = POWER_ITERATION_CAP) -> float | list[float]:
     """Largest singular value by power iteration on A*A.
 
     Runs `restarts` independent iterations seeded 1, 2, ..., restarts and
     returns the maximum estimate.  The default tolerance is 1e-13, raised to
     4*eps*N for large matrices.
+
+    `a` is one square matrix, for which a float is returned, or a stack of
+    shape (m, N, N), for which a list of m floats is returned, each equal bit
+    for bit to the norm of its matrix alone.  All restarts of all matrices
+    advance as rows of blocks (see `_power_iterate`).  A row costs 16N bytes
+    (a complex iterate) for one matrix, and the bytes of its matrix in a
+    stack.  Rows of one matrix read it through a (1, N, N) view that matmul
+    broadcasts with stride 0, never a copy per row; a block of several
+    matrices gathers one copy of each row's matrix and adjoint.  Each row's
+    product is one BLAS gemv, as in `a @ v`: a GEMM over the block would
+    change the bits.
     """
     a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     _validate_finite(a)
-    n = a.shape[0]
+    stack = a if a.ndim == 3 else a[None]
+    n = a.shape[-1]
     if tol is None:
         tol = max(1e-13, 4.0 * _EPS * n)
-    adj = a.conj().T.copy()
-    return _power_iterate(
-        lambda v: a @ v, lambda w: adj @ w, n, np.iscomplexobj(a),
-        tol, restarts, max_iter, "power iteration")
+    # a.conj() returns a real matrix itself, so the adjoint is one copy
+    adj = np.swapaxes(stack.conj(), 1, 2).copy()
+
+    def bind(ops):
+        if ops[0] == ops[-1]:
+            # one matrix: matmul broadcasts its (1, N, N) view over the rows
+            fwd, bwd = stack[ops[0]:ops[0] + 1], adj[ops[0]:ops[0] + 1]
+        else:
+            fwd, bwd = stack[ops], adj[ops]
+        return (lambda v: np.matmul(fwd, v[:, :, None])[:, :, 0],
+                lambda w: np.matmul(bwd, w[:, :, None])[:, :, 0])
+
+    norms = _power_iterate(
+        bind, len(stack), n, a.itemsize * n * n if a.ndim == 3 else 16 * n,
+        np.iscomplexobj(a), tol, restarts, max_iter, "power iteration")
+    return norms if a.ndim == 3 else norms[0]
 
 
 def _column_norms_squared(rows: np.ndarray) -> np.ndarray:
@@ -352,11 +429,14 @@ def toeplitz_operator_norm(first_column, tol: float = 1e-10, restarts: int = 2,
     `operator_norm` on the dense real matrix.  A complex column uses
     `fft`/`ifft` and complex starts.
 
-    The spectrum of the column and its conjugate are computed once.  Every
-    product transforms into one reused spectrum buffer, multiplies it in
-    place and transforms back into one reused signal buffer, so a power step
-    allocates only the next iterate; `matvec` and `rmatvec` return views of
-    the signal buffer (see `_power_iterate`).
+    The spectrum of the column and its conjugate are computed once.  The
+    restarts advance as rows of blocks (see `_power_iterate`), a row counting
+    16N bytes, so from N = 2^14 on a block is one restart.  Every product
+    transforms the block's rows into one reused (rows, .) spectrum buffer,
+    multiplies it in place and transforms back into one reused signal
+    buffer, so a power step allocates only the next iterates; `matvec` and
+    `rmatvec` return views of the signal buffer.  Batched transforms along
+    the last axis give each row the bits of a one-row transform.
     """
     col = np.asarray(first_column)
     if col.ndim != 1 or col.size == 0:
@@ -372,16 +452,21 @@ def toeplitz_operator_norm(first_column, tol: float = 1e-10, restarts: int = 2,
                         else (np.fft.rfft, np.fft.irfft))
     chat = forward(col, length)
     chat_conj = np.conj(chat)
-    spec = np.empty_like(chat)
-    signal = np.empty(length, dtype=col.dtype)
+    rows = min(max(restarts, 1), _block_rows(16 * n))  # the core rejects restarts < 1
+    spec = np.empty((rows, chat.size), dtype=chat.dtype)
+    signal = np.empty((rows, length), dtype=col.dtype)
 
-    def product(factor, v):
-        forward(v, length, out=spec)
-        # factor first: numpy's SIMD complex multiply is not symmetric bit for bit
-        np.multiply(factor, spec, out=spec)
-        inverse(spec, length, out=signal)
-        return signal[:n]
+    def bind(ops):
+        spec_k, signal_k = spec[:len(ops)], signal[:len(ops)]
 
-    return _power_iterate(lambda v: product(chat, v), lambda w: product(chat_conj, w),
-                          n, is_complex, tol, restarts, max_iter,
-                          "Toeplitz power iteration")
+        def product(factor, v):
+            forward(v, length, out=spec_k)
+            # factor first: numpy's SIMD complex multiply is not symmetric bit for bit
+            np.multiply(factor, spec_k, out=spec_k)
+            inverse(spec_k, length, out=signal_k)
+            return signal_k[:, :n]
+
+        return (lambda v: product(chat, v)), (lambda w: product(chat_conj, w))
+
+    return _power_iterate(bind, 1, n, 16 * n, is_complex, tol, restarts, max_iter,
+                          "Toeplitz power iteration")[0]

@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opalg.numkit import (
+    BLOCK_BYTES,
     ComplexMatrix,
     ConvergenceError,
-    _norm,
     _round_robin,
+    _row_norms,
     find_root,
     jacobi_svd,
     operator_norm,
@@ -39,6 +40,115 @@ def seed_411_matrix():
     """
     rng = np.random.default_rng([411, 6, 4])
     return rng.standard_normal((115, 115)) + 1j * rng.standard_normal((115, 115))
+
+
+def _norm(x):
+    """The sequential oracle's vector norm: `np.linalg.norm`'s 1-D formula."""
+    x = x.ravel(order="K")
+    if np.iscomplexobj(x):
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
+
+
+def sequential_power_iterate(matvec, rmatvec, n, complex_start, tol, restarts,
+                             max_iter, label):
+    """The one-vector power-iteration loop the block core replaced, kept
+    verbatim as the reference its results must equal bit for bit."""
+    best = 0.0
+    for restart in range(1, restarts + 1):
+        rng = np.random.default_rng(restart)
+        v = rng.standard_normal(n)
+        if complex_start:
+            v = v + 1j * rng.standard_normal(n)
+        v = v / _norm(v)
+        sigma = 0.0
+        settled = 0
+        for _ in range(max_iter):
+            w = matvec(v)
+            s = _norm(w)
+            if s == 0.0:
+                sigma = 0.0
+                break
+            z = rmatvec(w)
+            nz = _norm(z)
+            if nz == 0.0:
+                sigma = s
+                break
+            v = z / nz
+            if abs(s - sigma) <= tol * s:
+                settled += 1
+            else:
+                settled = 0
+            sigma = s
+            if settled >= 3:
+                break
+        else:
+            raise ConvergenceError(
+                f"{label} did not settle within {max_iter} iterations", sigma)
+        best = max(best, sigma)
+    return best
+
+
+def sequential_operator_norm(a, tol=None, restarts=3, max_iter=100_000):
+    n = a.shape[0]
+    if tol is None:
+        tol = max(1e-13, 4.0 * np.finfo(float).eps * n)
+    adj = a.conj().T.copy()
+    return sequential_power_iterate(lambda v: a @ v, lambda w: adj @ w, n,
+                                    np.iscomplexobj(a), tol, restarts, max_iter,
+                                    "power iteration")
+
+
+def sequential_toeplitz_operator_norm(col, tol=1e-10, restarts=2, max_iter=100_000):
+    n = col.size
+    length = 1
+    while length < 2 * n:
+        length *= 2
+    is_complex = np.iscomplexobj(col)
+    forward, inverse = ((np.fft.fft, np.fft.ifft) if is_complex
+                        else (np.fft.rfft, np.fft.irfft))
+    chat = forward(col, length)
+    chat_conj = np.conj(chat)
+    spec = np.empty_like(chat)
+    signal = np.empty(length, dtype=col.dtype)
+
+    def product(factor, v):
+        forward(v, length, out=spec)
+        np.multiply(factor, spec, out=spec)
+        inverse(spec, length, out=signal)
+        return signal[:n]
+
+    return sequential_power_iterate(lambda v: product(chat, v),
+                                    lambda w: product(chat_conj, w), n, is_complex,
+                                    tol, restarts, max_iter, "Toeplitz power iteration")
+
+
+def outcome(thunk):
+    """A thunk's norms, or the message and last iterate of its ConvergenceError."""
+    try:
+        return thunk()
+    except ConvergenceError as err:
+        return str(err), err.last_value
+
+
+def member(rng, kind, n, is_complex, column=False):
+    """A random matrix, or Toeplitz first column, of the kind drawn: "zero"
+    takes the s = 0 exit and "rank1" settles at once; "tiny" entries (1e-160)
+    leave ||A v|| > 0 but underflow every square of A*A v, the ||z|| = 0 exit."""
+    shape = n if column else (n, n)
+    x = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if is_complex else 0.0)
+    if kind == "zero":
+        return np.zeros_like(x)
+    if kind == "tiny":
+        return 1e-160 * x
+    if kind == "rank1":
+        # a column's corner entry alone is a rank-one Toeplitz matrix
+        return np.where(np.arange(n) == n - 1, x, 0.0) if column else np.outer(x[:, 0], x[0])
+    return x
+
+
+kinds = st.sampled_from(["gauss", "zero", "rank1", "tiny"])
 
 
 @st.composite
@@ -82,31 +192,34 @@ class TestComplexMatrix:
 
 @st.composite
 def norm_inputs(draw):
-    """Real or complex vectors of length 1..4096 with entries spread over
-    twenty decades, as fresh arrays or as the views power iteration meets:
-    the real part of a complex array, a stride-2 view and a buffer prefix."""
+    """Blocks of 1..8 real or complex rows of length 1..4096 with entries
+    spread over twenty decades, as fresh arrays or as the views power
+    iteration meets: the real part of a complex array, a stride-2 view and a
+    buffer prefix (rows of `buf[:, :n]`)."""
+    rows = draw(st.integers(1, 8))
     n = draw(st.integers(1, 4096))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
     def sample():
-        return rng.standard_normal(2 * n) * 10.0 ** rng.uniform(-10.0, 10.0, 2 * n)
+        shape = (rows, 2 * n)
+        return rng.standard_normal(shape) * 10.0 ** rng.uniform(-10.0, 10.0, shape)
 
     buf = sample() + 1j * sample() if draw(st.booleans()) else sample()
     view = draw(st.sampled_from(["copy", "real", "step", "prefix"]))
     if view == "copy":
-        return buf[:n].copy()
+        return buf[:, :n].copy()
     if view == "real":
-        return np.asarray(buf, dtype=complex).real[:n]
+        return np.asarray(buf, dtype=complex).real[:, :n]
     if view == "step":
-        return buf[::2]
-    return buf[:n]
+        return buf[:, ::2]
+    return buf[:, :n]
 
 
 class TestNorm:
     @settings(deadline=None, derandomize=True)
     @given(norm_inputs())
     def test_same_bits_as_linalg_norm(self, x):
-        assert _norm(x) == float(np.linalg.norm(x))
+        assert _row_norms(x) == [float(np.linalg.norm(row)) for row in x]
 
 
 class TestOperatorNorm:
@@ -151,9 +264,63 @@ class TestOperatorNorm:
         with pytest.raises(ValueError):
             operator_norm(a)
 
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3), (1, 2, 2, 2)])
+    def test_rejects_shapes_other_than_square_or_stack(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            operator_norm(np.ones(shape))
+
     def test_rejects_tiny_tol(self):
         with pytest.raises(ValueError):
             operator_norm(np.eye(64), tol=1e-16)
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(st.integers(1, 64), st.integers(1, 8), st.integers(1, 4), st.booleans(),
+           st.lists(kinds, min_size=8, max_size=8), st.sampled_from([None, 1e-9]),
+           st.integers(0, 2**32 - 1))
+    def test_block_equals_sequential_oracle(self, n, m, restarts, is_complex,
+                                            member_kinds, tol, seed):
+        rng = np.random.default_rng(seed)
+        stack = np.array([member(rng, kind, n, is_complex) for kind in member_kinds[:m]])
+        kw = {"tol": tol, "restarts": restarts}
+        assert operator_norm(stack, **kw) == [sequential_operator_norm(a, **kw) for a in stack]
+        assert operator_norm(stack[0], **kw) == sequential_operator_norm(stack[0], **kw)
+        # at two steps Gaussian members fail; the first failing row names the estimate
+        assert outcome(lambda: operator_norm(stack, max_iter=2, **kw)) == outcome(
+            lambda: [sequential_operator_norm(a, max_iter=2, **kw) for a in stack])
+
+    def test_one_matrix_allocates_only_its_adjoint(self):
+        a = volterra_matrix(240)
+        operator_norm(a)
+        tracemalloc.start()
+        try:
+            operator_norm(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Live at once: the adjoint copy (a.nbytes; `a.conj()` of a real matrix
+        # is a itself, and every row of the block reads stride-0 views of a and
+        # of the adjoint), and a few iterates of 3 rows x 8n bytes, 0.025
+        # a.nbytes each.  A second n x n array does not fit.
+        assert peak <= 1.25 * a.nbytes
+
+    def test_stack_allocates_adjoint_and_two_gathers(self):
+        rng = np.random.default_rng(4)
+        stack = rng.standard_normal((64, 16, 16)) + 1j * rng.standard_normal((64, 16, 16))
+        operator_norm(stack)
+        tracemalloc.start()
+        try:
+            operator_norm(stack)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A row costs its matrix's 4 KiB, so a block holds 64 of the 192 rows.
+        # Live at once: the adjoint stack (stack.nbytes), the block's gathered
+        # matrices and adjoints (BLOCK_BYTES each; the previous block's are
+        # released before they are gathered), and block iterates of 64 rows x
+        # 16n bytes: the current one, A v, A* w, the next one and the buffer of
+        # the broadcast division, five at once, with three more for bookkeeping.
+        iterate = 64 * 16 * 16
+        assert peak <= stack.nbytes + 2 * BLOCK_BYTES + 8 * iterate
 
     @pytest.mark.xfail(strict=True, reason=(
         "operator_norm's relative-change stopping rule halts 1.1e-9 short of "
@@ -327,8 +494,10 @@ class TestToeplitzNorm:
         lambda **kw: operator_norm(np.tril(np.ones((8, 8))), **kw),
         lambda **kw: toeplitz_operator_norm(np.ones(8), **kw),
     ], ids=["dense", "toeplitz"])
-    @pytest.mark.parametrize("bad", [{"restarts": 0}, {"restarts": -1}, {"tol": 1e-16}],
-                             ids=["restarts0", "restarts-1", "tol-below-eps-n"])
+    @pytest.mark.parametrize("bad", [{"restarts": 0}, {"restarts": -1}, {"tol": 1e-16},
+                                     {"tol": float("nan")}, {"max_iter": 0}],
+                             ids=["restarts0", "restarts-1", "tol-below-eps-n",
+                                  "tol-nan", "max-iter-0"])
     def test_both_entry_points_reject_bad_iteration_args(self, norm, bad):
         with pytest.raises(ValueError):
             norm(**bad)
@@ -378,6 +547,16 @@ class TestToeplitzNorm:
         tol = 1e-10
         sigma = toeplitz_operator_norm(col, tol=tol, restarts=3)
         assert sigma <= np.abs(col).sum() * (1.0 + tol)
+
+    @settings(deadline=None, derandomize=True, max_examples=40)
+    @given(st.integers(1, 64), st.integers(1, 4), st.booleans(), kinds,
+           st.sampled_from([1e-10, 1e-13]), st.integers(0, 2**32 - 1))
+    def test_block_equals_sequential_oracle(self, n, restarts, is_complex, kind, tol, seed):
+        col = member(np.random.default_rng(seed), kind, n, is_complex, column=True)
+        kw = {"tol": tol, "restarts": restarts}
+        assert toeplitz_operator_norm(col, **kw) == sequential_toeplitz_operator_norm(col, **kw)
+        assert outcome(lambda: toeplitz_operator_norm(col, max_iter=2, **kw)) == outcome(
+            lambda: sequential_toeplitz_operator_norm(col, max_iter=2, **kw))
 
     def test_power_step_allocates_only_the_next_iterate(self):
         mu = kernel_notell1(12, 2**15).mu
