@@ -10,7 +10,9 @@ the arithmetic-mean partial sums that reconstruct S (`shift.polynomial_in`
 lays them down).  The module also provides two computable certificates that
 an algebra generated by a single operator cannot carry an isometric circle
 action sending T to lam*T: a linear dependence among nonzero powers, and a
-norm asymmetry under the phase scan.
+norm asymmetry under the phase scan.  The claim function `fejer` is the
+`opalg` experiment of that name: its keyword parameters are the options it
+reads, with its defaults.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import shift
 from .numkit import CircleGrid, jacobi_svd, operator_norm
+from .report import ExperimentReport
 
 # Unit-circle membership tolerance for phases.
 _CIRCLE_TOL = 1e-14
@@ -96,6 +100,36 @@ def fejer_coefficients(coeffs, n: int) -> np.ndarray:
     c = np.zeros(n, dtype=complex)
     c[:min(n, len(coeffs))] = coeffs[:n]
     return (n - np.arange(1, n + 1)) / n * c
+
+
+def fejer(*, dim: int = 32, nodes: int | None = None, nmax: int = 64,
+          weights: str = shift.HARMONIC, seed: int = 0) -> ExperimentReport:
+    """Cesaro-weighted reconstruction of a random shift polynomial from its
+    Fourier coefficients (quadrature on 2 dim nodes unless `nodes` is given),
+    at orders up to nmax, against the coefficient-mass bound."""
+    t = shift.build_shift(shift.parse_weight_spec(weights, dim), dim)
+    grid = CircleGrid(2 * dim if nodes is None else nodes)
+    degree = min(8, dim - 1)
+    s = shift.polynomial_in(t, shift.random_polynomial(t, seed, 0, degree))
+    powers = t.powers(dim - 1)
+    series = fourier_coefficients(s, grid, powers)
+    norms = operator_norm(np.stack(powers))
+    coeff_mass = sum(abs(c) * nrm for c, nrm in zip(series, norms))
+    params = {"dim": dim, "nodes": nodes, "nmax": nmax, "weights": weights}
+    rep = ExperimentReport("fejer", {k: v for k, v in params.items() if v is not None})
+    rep.add("degree", degree)
+    ok = True
+    for m in sorted({degree, 2 * degree, nmax}):
+        if m < degree:
+            continue
+        approx = shift.polynomial_in(t, fejer_coefficients(series, m))
+        err = operator_norm(s - approx)
+        bound = (degree / m) * coeff_mass
+        rep.add(f"error_order_{m:04d}", err)
+        rep.add(f"bound_order_{m:04d}", bound)
+        ok = ok and err <= bound + 1e-10
+    rep.check("errors_within_coefficient_bound", ok)
+    return rep
 
 
 def certify_no_gauge_linear_dependence(powers, rel_tol: float = 1e-10,

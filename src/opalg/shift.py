@@ -10,7 +10,10 @@ entry, and `polynomial_in` lays an element down as a matrix, band by band,
 only where a norm or a matrix comparison needs one.  The operations here
 verify norm (in)equivalence between ||S|| and ||S e_0||, quasinilpotence of
 the weight family, and the ideal structure (every nonzero element generates
-the same closed ideal as the power T^k at its lowest coefficient).
+the same closed ideal as the power T^k at its lowest coefficient).  The claim
+functions `equivalence`, `inequivalence`, `neumann` and `quasinilpotence` are
+the `opalg` experiments of those names: their keyword parameters are the
+options each reads, with its defaults.
 """
 
 from __future__ import annotations
@@ -47,8 +50,12 @@ class WeightSequence:
         vals = np.asarray(self.values, dtype=complex)
         if vals.ndim != 1 or vals.size == 0:
             raise ValueError("weights must be a nonempty vector")
-        if np.any(vals == 0):
-            raise ValueError("zero weight encountered")
+        zeros = np.flatnonzero(vals == 0)
+        if zeros.size:
+            # a geometric weight r^k rounds to exactly 0 once r^k <= 2^-1075
+            raise ValueError(
+                f"zero weight encountered at index {zeros[0]}: at most {zeros[0]} "
+                f"{self.family} weights can be built")
         object.__setattr__(self, "values", vals)
 
     def materialized(self, count: int) -> np.ndarray:
@@ -158,12 +165,15 @@ def random_polynomial(t: ShiftTruncation, seed, trial: int, degree: int | None =
     return (rng.standard_normal(d) + 1j * rng.standard_normal(d)) / math.sqrt(2.0)
 
 
-def norm_equivalence_report(t: ShiftTruncation, trials: int, seed) -> ExperimentReport:
-    """Sample random polynomials and check ||S|| <= (M/|a_0|) ||S e_0||.
+def equivalence(*, dim: int = 32, nmax: int = 100, weights: str = HARMONIC,
+                seed: int = 0) -> ExperimentReport:
+    """Sample nmax random polynomials in the dim x dim truncation and check
+    ||S|| <= (M/|a_0|) ||S e_0||.
 
     Requires decreasing weights with finite squared l2 mass M^2; the bound
     constant is M/|a_0|.
     """
+    t = build_shift(parse_weight_spec(weights, dim), dim)
     w = t.weights
     if not w.monotone_decreasing:
         raise ValueError("hypothesis violated: weights are not decreasing")
@@ -171,11 +181,10 @@ def norm_equivalence_report(t: ShiftTruncation, trials: int, seed) -> Experiment
         raise ValueError("hypothesis violated: squared l2 mass of the weights is infinite")
     bound = math.sqrt(w.l2_sum) / abs(complex(w.values[0]))
     rep = ExperimentReport("norm-equivalence",
-                           {"dim": t.dim, "trials": trials, "seed": seed,
-                            "family": w.family})
+                           {"dim": dim, "nmax": nmax, "weights": weights})
     rep.add("bound_constant", bound)
     worst = 0.0
-    for trial in range(trials):
+    for trial in range(nmax):
         s = polynomial_in(t, random_polynomial(t, seed, trial))
         ratio = operator_norm(s) / vector_norm_at_e0(s)
         rep.add(f"ratio_{trial:03d}", ratio)
@@ -185,15 +194,15 @@ def norm_equivalence_report(t: ShiftTruncation, trials: int, seed) -> Experiment
     return rep
 
 
-def inequivalence_demo(n: int) -> ExperimentReport:
-    """For unit weights, p_n(T) = T + ... + T^n applied to the spread vector
-    v_n = (e_0 + ... + e_{n-1})/sqrt(n) has norm sqrt(2n^2+1)/sqrt(3), while
-    ||p_n(T) e_0|| = sqrt(n); the ratio grows like sqrt(2n/3), so the two
-    norms are inequivalent.
+def inequivalence(*, nmax: int = 3) -> ExperimentReport:
+    """For unit weights, p_n(T) = T + ... + T^n (n = nmax) applied to the
+    spread vector v_n = (e_0 + ... + e_{n-1})/sqrt(n) has norm
+    sqrt(2n^2+1)/sqrt(3), while ||p_n(T) e_0|| = sqrt(n); the ratio grows like
+    sqrt(2n/3), so the two norms are inequivalent.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
-    dim = 2 * n
+    if nmax < 1:
+        raise ValueError("nmax must be positive")
+    n, dim = nmax, 2 * nmax
     t = build_shift(ones_weights(dim), dim)
     p = polynomial_in(t, np.ones(n))
     v = np.zeros(dim, dtype=complex)
@@ -203,7 +212,7 @@ def inequivalence_demo(n: int) -> ExperimentReport:
     e0_norm = vector_norm_at_e0(p)
     op_norm = operator_norm(p)
     ratio_bound = math.sqrt(2.0 / 3.0) * math.sqrt(n)
-    rep = ExperimentReport("norm-inequivalence", {"n": n, "dim": dim})
+    rep = ExperimentReport("norm-inequivalence", {"nmax": nmax})
     rep.add("spread_image_norm", image_norm)
     rep.add("spread_image_closed_form", closed_form)
     rep.add("e0_image_norm", e0_norm)
@@ -217,29 +226,30 @@ def inequivalence_demo(n: int) -> ExperimentReport:
     return rep
 
 
-def quasinilpotence_profile(weights: WeightSequence, n_max: int, k_max: int) -> ExperimentReport:
-    """beta_n = sup_{k <= k_max} |a_{k+1} ... a_{k+n}|^(1/n) for n = 1..n_max.
+def quasinilpotence(*, nmax: int = 8, weights: str = HARMONIC) -> ExperimentReport:
+    """beta_n = sup_{k <= 64} |a_{k+1} ... a_{k+n}|^(1/n) for n = 1..nmax.
 
     beta_n -> 0 characterizes quasinilpotent weighted shifts; the profile is
     expected to decrease for the harmonic and geometric families and to be
     identically 1 for unit weights.  Products accumulate in the log domain.
     """
-    vals = weights.materialized(k_max + n_max + 1)
+    k_max = 64
+    w = parse_weight_spec(weights, k_max + nmax + 1)
+    vals = w.materialized(k_max + nmax + 1)
     logs = np.log(np.abs(vals))
     cums = np.concatenate([[0.0], np.cumsum(logs)])
     betas = []
-    for n in range(1, n_max + 1):
+    for n in range(1, nmax + 1):
         # products a_{k+1}..a_{k+n} = exp(cums[k+n+1] - cums[k+1]), k = 0..k_max
         spans = cums[n + 1:k_max + n + 2] - cums[1:k_max + 2]
         betas.append(float(np.exp(np.max(spans) / n)))
-    rep = ExperimentReport("quasinilpotence",
-                           {"family": weights.family, "n_max": n_max, "k_max": k_max})
+    rep = ExperimentReport("quasinilpotence", {"nmax": nmax, "weights": weights})
     for n, beta in enumerate(betas, start=1):
         rep.add(f"beta_{n:02d}", beta)
-    if weights.family in (HARMONIC, GEOMETRIC):
+    if w.family in (HARMONIC, GEOMETRIC):
         decreasing = all(betas[i + 1] < betas[i] + 1e-15 for i in range(len(betas) - 1))
         rep.check("profile_decreasing", decreasing)
-    elif weights.family == ONES:
+    elif w.family == ONES:
         rep.check("profile_constant_one",
                   all(abs(b - 1.0) < 1e-12 for b in betas))
     return rep
@@ -298,6 +308,35 @@ def neumann_factor_check(coeffs, k: int, t: ShiftTruncation) -> ExperimentReport
     rep.add("max_discrepancy", delta)
     rep.add("relative_discrepancy", delta / scale if scale > 0 else math.inf)
     rep.check("neumann_sum_equals_power", delta <= 1e-12 * scale)
+    return rep
+
+
+def neumann(*, dim: int = 32, nmax: int = 20, weights: str = HARMONIC,
+            seed: int = 0) -> ExperimentReport:
+    """Neumann-series factor certificates (`neumann_factor_check`) on nmax
+    random polynomials with lowest index k in {1, 2, 3}."""
+    if dim < 4:
+        raise ValueError(f"neumann draws k up to 3, so dim must be at least 4, got {dim}")
+    t = build_shift(parse_weight_spec(weights, dim), dim)
+    rep = ExperimentReport("neumann", {"dim": dim, "nmax": nmax, "weights": weights})
+    all_ok = True
+    worst = 0.0
+    for trial in range(nmax):
+        rng = np.random.default_rng([int(seed), trial])
+        k = int(rng.integers(1, 4))
+        degree = k + int(rng.integers(1, 7))
+        coeffs = np.zeros(degree, dtype=complex)
+        coeffs[k - 1] = 1.0
+        extra = (rng.standard_normal(degree - k)
+                 + 1j * rng.standard_normal(degree - k)) / math.sqrt(2.0)
+        coeffs[k:] = extra
+        sub = neumann_factor_check(coeffs, k, t)
+        # np.maximum, not max: max(0.0, nan) is 0.0 and would hide a NaN
+        worst = float(np.maximum(worst, sub.value("relative_discrepancy")))
+        all_ok = all_ok and sub.passed
+    rep.add("trials", nmax)
+    rep.add("worst_relative_discrepancy", worst)
+    rep.check("all_neumann_sums_reproduce_powers", all_ok)
     return rep
 
 

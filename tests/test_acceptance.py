@@ -65,7 +65,7 @@ def test_criterion_02_v_norm_convergence():
 
 def test_criterion_03_littlereade_trend():
     start = time.monotonic()
-    rep = volterra.power_norm_table(8, 1024)
+    rep = volterra.littlereade(dim=1024, nmax=8)
     elapsed = time.monotonic() - start
     cs = [rep.value(f"c_{p:02d}") for p in range(1, 9)]
     decreasing = all(b < a for a, b in zip(cs, cs[1:]))
@@ -132,17 +132,16 @@ def test_criterion_06_gauge_isometry_and_witnesses(shift_corpus):
 
 
 def test_criterion_07_norm_equivalence_and_inequivalence():
-    t = shift.build_shift(shift.harmonic_weights(32), 32)
-    rep = shift.norm_equivalence_report(t, trials=100, seed=2026)
+    rep = shift.equivalence(dim=32, nmax=100, seed=2026)
     bound_ok = rep.passed
     closed_ok = True
     for n in (1, 3, 16):
-        demo = shift.inequivalence_demo(n)
+        demo = shift.inequivalence(nmax=n)
         target = math.sqrt(2.0 * n * n + 1.0) / math.sqrt(3.0)
         closed_ok = closed_ok and abs(demo.value("spread_image_norm") - target) <= 1e-12
     ratio_ok = True
     for n in (4, 16, 64):
-        demo = shift.inequivalence_demo(n)
+        demo = shift.inequivalence(nmax=n)
         ratio_ok = ratio_ok and demo.value("ratio") >= math.sqrt(2.0 / 3.0) * math.sqrt(n)
     ok = bound_ok and closed_ok and ratio_ok
     report_line(7, ok, f"equivalence bound max ratio={rep.value('max_ratio'):.5f} <= "
@@ -206,7 +205,7 @@ def test_criterion_09_support_arithmetic():
 
 
 def test_criterion_10_muntz_no_gauge():
-    rep = volterra.muntz_no_gauge_demo(12, 1000)
+    rep = volterra.muntz(dim=1000, nmax=12)
     eps = rep.value("sup_fit_error")
     sigma = rep.value("operator_discrepancy")
     margin = rep.value("contradiction_margin")
@@ -235,7 +234,7 @@ def sqrt_growth_check(dims, sigmas, mus):
 
 def test_criterion_11_unbounded_witness_as_stated():
     dims = (64, 128, 256)
-    rep = volterra.unbounded_witness_check(list(dims))
+    rep = volterra.unbounded_witness(dim=dims[-1])
     sigmas = [rep.value(f"sigma_dim_{n}") for n in dims]
     witness_ok, witness = sqrt_growth_check(
         dims, sigmas, [volterra.kernel_singular32(n).mu for n in dims])

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from opalg import shift
-from opalg.cli import ExperimentConfig, emit_report, main, run_experiment
+from opalg.cli import EXPERIMENTS, ExperimentConfig, emit_report, main, run_experiment
 from opalg.report import ExperimentReport, parse_csv
 
 
@@ -46,6 +46,98 @@ class TestValidation:
     def test_bad_weight_spec(self):
         proc = run_cli("equivalence", "--weights", "fibonacci", "--nmax", "2")
         assert proc.returncode == 2
+
+    def test_weight_underflow_names_the_cap(self, capsys):
+        # 64 + 1100 + 1 geometric:0.5 weights: the one at index 1075 is 0.0
+        assert main(["quasinilpotence", "--weights", "geometric:0.5", "--nmax", "1100"]) == 2
+        assert "at most 1075 geometric weights" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["v2norm", "unbounded-witness"])
+    @pytest.mark.parametrize("dim", ["2", "3"])
+    def test_ladder_dim_below_four_rejected(self, name, dim, capsys):
+        # both ladders start at dim // 4 cells, which would be an empty grid
+        assert main([name, "--dim", dim]) == 2
+        assert f"dim at least 4, got {dim}" in capsys.readouterr().err
+
+
+# A small config per experiment that passes every option it reads, with the
+# params its JSON report echoed for it (recorded before the experiments
+# became claim functions; --seed 5 is added to each).
+SMALL = {
+    "v2norm": (["--dim", "64"], {"dim": 64}),
+    "littlereade": (["--dim", "512", "--nmax", "3"], {"dim": 512, "nmax": 3}),
+    "notell1": (["--dim", "32", "--nmax", "4"], {"dim": 32, "nmax": 4}),
+    "inequivalence": (["--nmax", "2"], {"nmax": 2}),
+    "equivalence": (["--dim", "8", "--nmax", "2", "--weights", "geometric:0.5"],
+                    {"dim": 8, "nmax": 2, "weights": "geometric:0.5"}),
+    "fejer": (["--dim", "8", "--nmax", "16", "--weights", "ones"],
+              {"dim": 8, "nmax": 16, "weights": "ones"}),
+    "neumann": (["--dim", "8", "--nmax", "2", "--weights", "list:1,1,1,1,1,1,1"],
+                {"dim": 8, "nmax": 2, "weights": "list:1,1,1,1,1,1,1"}),
+    "titchmarsh": (["--dim", "60"], {"dim": 60}),
+    "muntz": (["--dim", "100", "--nmax", "3"], {"dim": 100, "nmax": 3}),
+    "nilpotent-density": (["--dim", "20", "--nmax", "5"], {"dim": 20, "nmax": 5}),
+    "unbounded-witness": (["--dim", "16"], {"dim": 16}),
+    "gauge-scan": (["--dim", "6", "--nodes", "12", "--weights", "geometric:0.5"],
+                   {"dim": 6, "nodes": 12, "weights": "geometric:0.5"}),
+    "quasinilpotence": (["--nmax", "3", "--weights", "ones"], {"nmax": 3, "weights": "ones"}),
+}
+
+# Options echoed only when given: fejer's quadrature nodes (2 dim by default)
+# and nilpotent-density's kernel (const:1 by default).
+ECHOED_WHEN_GIVEN = [
+    ("fejer", ["--dim", "8", "--nodes", "80"],
+     {"dim": 8, "nodes": 80, "nmax": 64, "weights": "harmonic"}),
+    ("nilpotent-density", ["--dim", "20", "--nmax", "5", "--kernel", "poly:1,2"],
+     {"dim": 20, "nmax": 5, "kernel": "poly:1,2"}),
+]
+
+# One option each experiment does not read, with a value that is valid for it.
+UNREAD = {
+    "v2norm": ("--nodes", "8"),
+    "littlereade": ("--weights", "ones"),
+    "notell1": ("--kernel", "const:1"),
+    "inequivalence": ("--dim", "8"),
+    "equivalence": ("--nodes", "64"),
+    "fejer": ("--kernel", "const:1"),
+    "neumann": ("--nodes", "64"),
+    "titchmarsh": ("--nmax", "2"),
+    "muntz": ("--weights", "ones"),
+    "nilpotent-density": ("--weights", "ones"),
+    "unbounded-witness": ("--nmax", "2"),
+    "gauge-scan": ("--nmax", "2"),
+    "quasinilpotence": ("--dim", "5"),
+}
+
+
+class TestOptionTable:
+    def test_tables_cover_every_experiment(self):
+        assert set(SMALL) == set(UNREAD) == set(EXPERIMENTS)
+        assert len(EXPERIMENTS) == 13
+
+    @pytest.mark.parametrize("name, args, params",
+                             [(name, *SMALL[name]) for name in EXPERIMENTS]
+                             + ECHOED_WHEN_GIVEN)
+    def test_params_echo_the_options_read(self, name, args, params, tmp_path):
+        out = tmp_path / "report.json"
+        assert main([name, *args, "--seed", "5", "--format", "json", "--out", str(out)]) in (0, 1)
+        echoed = json.loads(out.read_bytes())["params"]
+        assert echoed == {"experiment": name, "seed": 5, **params}
+        assert list(echoed) == ["experiment", "seed", *params]
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_unread_option_rejected(self, name, capsys):
+        flag, value = UNREAD[name]
+        assert main([name, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert "validation error" in err and flag in err
+
+    @pytest.mark.parametrize("name", list(EXPERIMENTS))
+    def test_seed_out_and_format_accepted(self, name, tmp_path):
+        out = tmp_path / "report.csv"
+        args = SMALL[name][0]
+        assert main([name, *args, "--seed", "9", "--format", "csv", "--out", str(out)]) in (0, 1)
+        assert out.read_bytes().startswith(b"label,value\nseed,9\n")
 
 
 class TestSerialization:

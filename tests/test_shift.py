@@ -13,16 +13,16 @@ from opalg.shift import (
     explicit_weights,
     geometric_weights,
     harmonic_weights,
-    inequivalence_demo,
+    inequivalence,
     lowest_index,
     lowest_index_of_product,
+    equivalence,
     neumann_factor_check,
-    norm_equivalence_report,
     ones_weights,
     parse_weight_spec,
     polynomial_in,
     product,
-    quasinilpotence_profile,
+    quasinilpotence,
     random_polynomial,
     vector_norm_at_e0,
 )
@@ -46,6 +46,13 @@ class TestWeightSequences:
     def test_zero_weight_rejected(self):
         with pytest.raises(ValueError):
             explicit_weights([1.0, 0.0, 2.0])
+
+    def test_geometric_half_cap_named(self):
+        # 0.5^k rounds to exactly 0 from k = 1075 on (2^-1075 is half the
+        # smallest subnormal), so 1075 weights are the most that can be built
+        assert parse_weight_spec("geometric:0.5", 1075).values[-1] != 0.0
+        with pytest.raises(ValueError, match="index 1075: at most 1075 geometric weights"):
+            parse_weight_spec("geometric:0.5", 1076)
 
     def test_spec_language(self):
         assert parse_weight_spec("harmonic", 4).family == "harmonic"
@@ -227,8 +234,7 @@ class TestVectorNorm:
 
 class TestNormEquivalence:
     def test_harmonic_bound(self):
-        t = build_shift(harmonic_weights(16), 16)
-        rep = norm_equivalence_report(t, trials=20, seed=7)
+        rep = equivalence(dim=16, nmax=20, seed=7)
         assert rep.passed
         assert rep.value("bound_constant") == pytest.approx(math.pi / math.sqrt(6.0))
         assert rep.value("max_ratio") <= rep.value("bound_constant") + 1e-10
@@ -241,55 +247,51 @@ class TestNormEquivalence:
             assert ratio == pytest.approx(1.0, abs=1e-11)
 
     def test_geometric_bound_constant(self):
-        t = build_shift(geometric_weights(0.5, 12), 12)
-        rep = norm_equivalence_report(t, trials=10, seed=3)
+        rep = equivalence(dim=12, nmax=10, weights="geometric:0.5", seed=3)
         assert rep.passed
         assert rep.value("bound_constant") == pytest.approx(2.0 / math.sqrt(3.0))
 
     def test_ones_refused(self):
-        t = build_shift(ones_weights(8), 8)
         with pytest.raises(ValueError, match="infinite"):
-            norm_equivalence_report(t, trials=2, seed=1)
+            equivalence(dim=8, nmax=2, weights="ones", seed=1)
 
     def test_increasing_weights_refused(self):
-        t = build_shift(explicit_weights([1.0, 2.0, 3.0]), 4)
         with pytest.raises(ValueError, match="decreasing"):
-            norm_equivalence_report(t, trials=2, seed=1)
+            equivalence(dim=4, nmax=2, weights="list:1,2,3", seed=1)
 
 
 class TestInequivalence:
     def test_n3_closed_form(self):
-        rep = inequivalence_demo(3)
+        rep = inequivalence(nmax=3)
         assert rep.passed
         assert rep.value("spread_image_norm") == pytest.approx(
             math.sqrt(19.0) / math.sqrt(3.0), abs=1e-12)
 
     def test_n1(self):
-        rep = inequivalence_demo(1)
+        rep = inequivalence(nmax=1)
         assert rep.passed
         assert rep.value("spread_image_norm") == pytest.approx(1.0, abs=1e-12)
 
     def test_n16_ratio_bound(self):
-        rep = inequivalence_demo(16)
+        rep = inequivalence(nmax=16)
         assert rep.passed
         assert rep.value("ratio") >= math.sqrt(2.0 / 3.0) * 4.0
 
 
 class TestQuasinilpotence:
     def test_geometric_closed_form(self):
-        w = geometric_weights(0.5, 80)
-        rep = quasinilpotence_profile(w, n_max=4, k_max=64)
+        rep = quasinilpotence(nmax=4, weights="geometric:0.5")
         assert rep.passed
         # sup over k is at k = 0: (r^(1+2+...+n))^(1/n) = r^((n+1)/2)
         assert rep.value("beta_03") == pytest.approx(0.25, abs=1e-14)
 
     def test_ones_constant(self):
-        rep = quasinilpotence_profile(ones_weights(80), n_max=5, k_max=64)
+        rep = quasinilpotence(nmax=5, weights="ones")
         assert rep.passed
         assert rep.value("beta_05") == pytest.approx(1.0, abs=1e-14)
 
     def test_harmonic_decreasing(self):
-        rep = quasinilpotence_profile(harmonic_weights(80), n_max=4, k_max=64)
+        rep = quasinilpotence(nmax=4, weights="harmonic")
         assert rep.passed
         assert rep.value("beta_04") < rep.value("beta_01")
 

@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 from opalg import volterra
 from opalg.numkit import operator_norm, toeplitz_operator_norm
 from opalg.volterra import (
-    MODE_EXACT,
     SIGMA_MAX_DENSE_DIM,
     SampledKernel,
     _window_edges,
     build_vf,
     convolve,
-    frobenius_norm,
     hs_norm,
     ideal_restriction_check,
     kernel_constant,
@@ -28,16 +26,15 @@ from opalg.volterra import (
     kernel_power,
     kernel_singular32,
     kernel_step,
-    l1_norm_bound_check,
-    muntz_no_gauge_demo,
+    littlereade,
+    muntz,
     nilpotency_check,
     nilpotent_approximation,
     parse_kernel_spec,
     power_kernel_check,
-    power_norm_table,
     sigma_max,
     titchmarsh_alpha,
-    unbounded_witness_check,
+    unbounded_witness,
     v2_exact,
 )
 
@@ -121,8 +118,7 @@ class TestBuildVf:
 
     def test_nonfinite_cells_rejected(self):
         with pytest.raises(ValueError):
-            SampledKernel(4, MODE_EXACT, np.array([0.0, np.inf, 0.0, 0.0]),
-                          np.zeros(4), np.zeros(4))
+            SampledKernel(4, np.array([0.0, np.inf, 0.0, 0.0]), np.zeros(4), np.zeros(4))
 
     @settings(deadline=None, derandomize=True)
     @given(step_inputs(max_n=64))
@@ -181,28 +177,25 @@ class TestPowerKernelCheck:
 
 
 class TestL1Bound:
-    @pytest.mark.parametrize("kernel_n, n", [(64, 32), (8192, 5000)])
-    def test_grid_mismatch_rejected_at_every_size(self, kernel_n, n):
-        # the 8192-grid kernel is above the dense size too
-        with pytest.raises(ValueError, match="grid of size"):
-            l1_norm_bound_check(kernel_constant(1.0, kernel_n), n)
-
     def test_constant(self):
-        rep = l1_norm_bound_check(kernel_constant(1.0, 256), 256)
-        assert rep.passed
-        assert rep.value("sigma_max") == pytest.approx(2.0 / math.pi, abs=2e-5)
-        assert rep.value("l1_cell_mass") <= 1.0
+        mu = kernel_constant(1.0, 256).mu
+        sigma = sigma_max(mu)
+        assert sigma <= np.abs(mu).sum() + 1e-10
+        assert sigma == pytest.approx(2.0 / math.pi, abs=2e-5)
+        assert np.abs(mu).sum() <= 1.0
 
     def test_linear_kernel(self):
-        rep = l1_norm_bound_check(kernel_power(1, 256), 256)
-        assert rep.passed
-        assert rep.value("sigma_max") == pytest.approx(0.28441, abs=1e-4)
-        assert rep.value("l1_cell_mass") <= 0.5
+        mu = kernel_power(1, 256).mu
+        sigma = sigma_max(mu)
+        assert sigma <= np.abs(mu).sum() + 1e-10
+        assert sigma == pytest.approx(0.28441, abs=1e-4)
+        assert np.abs(mu).sum() <= 0.5
 
     def test_half_indicator(self):
-        rep = l1_norm_bound_check(kernel_step([(0.5, 1.0, 1.0)], 128), 128)
-        assert rep.passed
-        assert rep.value("sigma_max") <= 0.5
+        mu = kernel_step([(0.5, 1.0, 1.0)], 128).mu
+        sigma = sigma_max(mu)
+        assert sigma <= np.abs(mu).sum() + 1e-10
+        assert sigma <= 0.5
 
     @settings(deadline=None, derandomize=True)
     @given(st.integers(1, 2 * SIGMA_MAX_DENSE_DIM), st.booleans(), st.integers(0, 2**32 - 1))
@@ -233,8 +226,8 @@ class TestHsNorm:
     def test_matches_frobenius_within_h(self):
         for n in (64, 128):
             f = kernel_constant(1.0, n)
-            v = build_vf(f, n)
-            assert abs(hs_norm(f) - frobenius_norm(v)) <= 1.0 / n
+            frobenius = np.linalg.norm(build_vf(f, n).matrix.entries)
+            assert abs(hs_norm(f) - frobenius) <= 1.0 / n
 
     def test_notell1_closed_form(self):
         m = 5
@@ -284,7 +277,7 @@ class TestV2Exact:
 
 class TestPowerNormTable:
     def test_small_table(self):
-        rep = power_norm_table(4, 512)
+        rep = littlereade(dim=512, nmax=4)
         assert rep.passed
         assert rep.value("c_01") == pytest.approx(2.0 / math.pi, abs=1e-4)
         _, nrm = v2_exact()
@@ -292,9 +285,9 @@ class TestPowerNormTable:
 
     def test_guards(self):
         with pytest.raises(ValueError):
-            power_norm_table(13, 512)
+            littlereade(dim=512, nmax=13)
         with pytest.raises(ValueError):
-            power_norm_table(4, 128)
+            littlereade(dim=128, nmax=4)
 
 
 class TestConvolve:
@@ -420,19 +413,19 @@ class TestTitchmarsh:
 
 class TestMuntzDemo:
     def test_degree_two_hits_equioscillation_floor(self):
-        rep = muntz_no_gauge_demo(2, 200)
+        rep = muntz(dim=200, nmax=2)
         # no single multiple of x^2 beats the equioscillation value
         assert rep.value("sup_fit_error") >= (1.0 + math.sqrt(2.0)) / 2.0 - 1.0
 
     def test_degree_twelve(self):
-        rep = muntz_no_gauge_demo(12, 500)
+        rep = muntz(dim=500, nmax=12)
         assert rep.passed
         assert rep.value("sup_fit_error") <= 0.1
         assert rep.value("contradiction_margin") > 1.0
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):
-            muntz_no_gauge_demo(1, 100)
+            muntz(dim=100, nmax=1)
 
 
 class TestIdealRestriction:
@@ -468,23 +461,25 @@ class TestIdealRestriction:
 class TestUnboundedWitness:
     def test_double_integral_closed_form(self):
         # int_0^1 int_0^x (1-t)^(-3/2) dt dx = int_0^1 (2(1-x)^(-1/2) - 2) dx = 2
-        rep = unbounded_witness_check([32, 64])
+        rep = unbounded_witness(dim=128)
         assert rep.value("kf_double_integral") == 2.0
 
     def test_strictly_increasing(self):
-        rep = unbounded_witness_check([64, 128, 256])
+        rep = unbounded_witness(dim=256)
         assert rep.value("sigma_dim_256") > rep.value("sigma_dim_128") > rep.value("sigma_dim_64")
         assert ("strictly_increasing", True) in rep.flags
 
     def test_sqrt_growth_rate(self):
         # sigma tracks sqrt(2N): doubling the grid scales sigma by sqrt(2)
-        rep = unbounded_witness_check([64, 256])
+        rep = unbounded_witness(dim=256)
         ratio = rep.value("sigma_dim_256") / rep.value("sigma_dim_64")
         assert ratio == pytest.approx(2.0, abs=0.01)
 
-    def test_decreasing_dims_rejected(self):
-        with pytest.raises(ValueError):
-            unbounded_witness_check([128, 64])
+    def test_dim_below_four_rejected(self):
+        # the ladder's first grid, dim // 4 cells, would be empty
+        for dim in (2, 3):
+            with pytest.raises(ValueError, match="at least 4"):
+                unbounded_witness(dim=dim)
 
 
 class TestKernelSpecLanguage:
