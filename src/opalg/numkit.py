@@ -207,6 +207,11 @@ def _power_iterate(bind, operators, n, row_bytes, complex_start, tol, restarts,
     return [max(0.0, *sigmas[k:k + restarts]) for k in range(0, total, restarts)]
 
 
+def _default_tol(n: int) -> float:
+    """Default power-iteration tolerance: 1e-13, raised to 4*eps*N for large N."""
+    return max(1e-13, 4.0 * _EPS * n)
+
+
 def operator_norm(a, tol: float | None = None, restarts: int = 3,
                   max_iter: int = POWER_ITERATION_CAP) -> float | list[float]:
     """Largest singular value by power iteration on A*A.
@@ -233,7 +238,7 @@ def operator_norm(a, tol: float | None = None, restarts: int = 3,
     stack = a if a.ndim == 3 else a[None]
     n = a.shape[-1]
     if tol is None:
-        tol = max(1e-13, 4.0 * _EPS * n)
+        tol = _default_tol(n)
     # a.conj() returns a real matrix itself, so the adjoint is one copy
     adj = np.swapaxes(stack.conj(), 1, 2).copy()
 
@@ -415,7 +420,7 @@ def find_root(f, bracket, tol: float) -> RootSolve:
     return RootSolve(orig_lo, orig_hi, tol, root, residual, iterations)
 
 
-def toeplitz_operator_norm(first_column, tol: float = 1e-10, restarts: int = 2,
+def toeplitz_operator_norm(first_column, tol: float | None = None, restarts: int = 3,
                            max_iter: int = POWER_ITERATION_CAP) -> float:
     """Largest singular value of the lower-triangular Toeplitz matrix with the
     given first column, without materialising it.
@@ -427,7 +432,8 @@ def toeplitz_operator_norm(first_column, tol: float = 1e-10, restarts: int = 2,
     integer) column stays float64 and uses the half-spectrum `rfft`/`irfft`
     pair, and power iteration starts from the same real seeded vectors as
     `operator_norm` on the dense real matrix.  A complex column uses
-    `fft`/`ifft` and complex starts.
+    `fft`/`ifft` and complex starts.  The defaults of `tol` and `restarts`
+    are `operator_norm`'s.
 
     The spectrum of the column and its conjugate are computed once.  The
     restarts advance as rows of blocks (see `_power_iterate`), a row counting
@@ -445,6 +451,8 @@ def toeplitz_operator_norm(first_column, tol: float = 1e-10, restarts: int = 2,
     col = np.asarray(col, dtype=complex if is_complex else float)
     _validate_finite(col)
     n = col.size
+    if tol is None:
+        tol = _default_tol(n)
     length = 1
     while length < 2 * n:
         length *= 2

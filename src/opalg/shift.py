@@ -44,7 +44,6 @@ class WeightSequence:
     values: np.ndarray
     l2_sum: float
     monotone_decreasing: bool
-    ratio: float | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -79,7 +78,7 @@ def geometric_weights(r: float, count: int) -> WeightSequence:
     if not 0.0 < r < 1.0:
         raise ValueError("geometric ratio must lie in (0, 1)")
     vals = r ** np.arange(count)
-    return WeightSequence(GEOMETRIC, vals, 1.0 / (1.0 - r * r), True, ratio=r)
+    return WeightSequence(GEOMETRIC, vals, 1.0 / (1.0 - r * r), True)
 
 
 def ones_weights(count: int) -> WeightSequence:

@@ -9,10 +9,13 @@ mu_{i-j}, where
     mu_k = integral of f over [(k - 1/2) h, (k + 1/2) h)   for k >= 1.
 
 The scheme is exact on piecewise-constant kernels and inputs (which covers
-the step kernels the norm experiments need) and first-order accurate in
-general.  An element is its first column mu, a product is the truncated Cauchy
-product of the cell arrays (`convolve`), so support arithmetic holds bit for
-bit, and a norm is `sigma_max`.  Dense matrices appear only below sigma_max's
+the step kernels the norm experiments need).  Elsewhere its order depends on
+the kernel: the squared constant kernel of `v2norm` converges at order 2 (the
+errors at 250, 500 and 1000 cells fall by a factor of 4 per doubling), the
+u^(-1/2) self-convolution of `titchmarsh` at order 1 (halving ratios of 2).
+An element is its first column mu, a product is the truncated Cauchy product
+of columns (`numkit.cauchy`), so support arithmetic holds bit for bit, and a
+norm is `sigma_max`.  Dense matrices appear only below sigma_max's
 crossover, in `nilpotency_check` (through `build_vf`, which tests also use)
 and in the corner of `ideal_restriction_check`.
 
@@ -40,37 +43,29 @@ MAX_DENSE_DIM = 4096  # memory guard of build_vf
 SIGMA_MAX_DENSE_DIM = 256
 
 
-def _window(k: int, h: float):
-    """Collocation window for cell k: [max(0,(k-1/2)h), (k+1/2)h)."""
-    return (max(0.0, (k - 0.5) * h), (k + 0.5) * h)
-
-
 @dataclass(frozen=True)
 class SampledKernel:
-    """A kernel represented by its cell integrals (exact for the kernel
-    constructors, sampled for products).
-
-    mu[k] is the signed integral over window k, abs_cells[k] the integral of
-    |f|, sharp_cells[k] the integral of |f|^2 (1-t) -- the cellwise pieces of
-    the squared Hilbert-Schmidt norm of the convolution operator.  When the
-    kernel is piecewise constant, `pieces` holds the (start, end, value)
-    description and all cell data is exact.
+    """A kernel as its cells: mu[k] is the signed integral of f over
+    collocation window k (exact for the kernel constructors, the truncated
+    Cauchy product for products).  When the kernel is piecewise constant,
+    `pieces` holds the (start, end, value) description, from which its l1
+    and Hilbert-Schmidt masses are exact.
     """
 
-    grid_size: int
     mu: np.ndarray
-    abs_cells: np.ndarray
-    sharp_cells: np.ndarray
     pieces: tuple | None = None
 
     def __post_init__(self):
-        for name in ("mu", "abs_cells", "sharp_cells"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (self.grid_size,):
-                raise ValueError(f"{name} must have length {self.grid_size}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"non-finite cell integrals in {name}")
-            object.__setattr__(self, name, arr)
+        mu = np.asarray(self.mu, dtype=float)
+        if mu.ndim != 1:
+            raise ValueError(f"mu must be a vector, got shape {mu.shape}")
+        if not np.all(np.isfinite(mu)):
+            raise ValueError("non-finite cell integrals in mu")
+        object.__setattr__(self, "mu", mu)
+
+    @property
+    def grid_size(self) -> int:
+        return len(self.mu)
 
     @property
     def h(self) -> float:
@@ -85,39 +80,52 @@ class SampledKernel:
         return float(nz[0]) * self.h
 
     def l1_partial(self, x: float) -> float:
-        """Mass of |f| over [0, x]; exact when pieces are available."""
+        """Mass of |f| over [0, x]: exact when pieces are available, else
+        |mu| summed cell by cell, the window straddling x prorated.  |mu| is
+        a lower bound on the |f| cells, exact while f keeps one sign per
+        cell, as every kernel without pieces but a sign-changing `poly` does."""
         if self.pieces is not None:
             total = 0.0
             for a, b, v in self.pieces:
                 total += abs(v) * max(0.0, min(b, x) - a)
             return total
         total = 0.0
-        for k in range(self.grid_size):
-            lo, hi = _window(k, self.h)
+        for cell, lo, hi in zip(np.abs(self.mu), *_window_edges(self.grid_size)):
             if hi <= x:
-                total += self.abs_cells[k]
+                total += cell
             elif lo < x:
-                total += self.abs_cells[k] * (x - lo) / (hi - lo)
+                total += cell * (x - lo) / (hi - lo)
         return total
-
-    @property
-    def l1_total(self) -> float:
-        return float(np.sum(self.abs_cells))
 
 
 def _window_edges(n: int):
+    """Collocation windows [max(0, (k-1/2)h), (k+1/2)h) for k < n."""
     h = 1.0 / n
     k = np.arange(n)
     return np.maximum(0.0, (k - 0.5) * h), (k + 0.5) * h
 
 
-def kernel_from_antiderivatives(F, F_abs, F_sharp, n: int, pieces=None) -> SampledKernel:
-    """Exact cells from antiderivatives of f, |f| and |f|^2 (1-t)."""
+def _overlaps(pieces, n: int):
+    """For each sorted, disjoint piece (a, b, v): the slice of the cells whose
+    window meets [a, b), v, and the ends of those overlaps.
+
+    The windows are sorted, so the cells whose window meets [a, b) are the
+    slice from the first window ending after a to the last one starting
+    before b.  Every overlap in it has positive length; every cell outside
+    it would only receive an exact zero.
+    """
     edges_lo, edges_hi = _window_edges(n)
-    mu = F(edges_hi) - F(edges_lo)
-    absc = F_abs(edges_hi) - F_abs(edges_lo)
-    sharp = F_sharp(edges_hi) - F_sharp(edges_lo)
-    return SampledKernel(n, mu, absc, sharp, pieces)
+    starts = np.searchsorted(edges_hi, [a for a, _, _ in pieces], side="right")
+    stops = np.searchsorted(edges_lo, [b for _, b, _ in pieces], side="left")
+    for (a, b, v), i, j in zip(pieces, starts, stops):
+        cells = slice(i, j)
+        yield cells, v, np.maximum(edges_lo[cells], a), np.minimum(edges_hi[cells], b)
+
+
+def kernel_from_antiderivative(F, n: int) -> SampledKernel:
+    """Exact cells from an antiderivative F of f."""
+    edges_lo, edges_hi = _window_edges(n)
+    return SampledKernel(F(edges_hi) - F(edges_lo))
 
 
 def kernel_constant(c: float, n: int) -> SampledKernel:
@@ -137,26 +145,10 @@ def kernel_step(pieces, n: int) -> SampledKernel:
     for (_, b1, _), (a2, _, _) in zip(cleaned, cleaned[1:]):
         if b1 > a2 + 1e-15:
             raise ValueError("overlapping pieces")
-    edges_lo, edges_hi = _window_edges(n)
     mu = np.zeros(n)
-    absc = np.zeros(n)
-    sharp = np.zeros(n)
-    # The windows are sorted, so the cells whose window meets [a, b) are the
-    # slice from the first window ending after a to the last one starting
-    # before b.  Every overlap in it has positive length; every cell outside
-    # it would only receive an exact zero.
-    starts = np.searchsorted(edges_hi, [a for a, _, _ in cleaned], side="right")
-    stops = np.searchsorted(edges_lo, [b for _, b, _ in cleaned], side="left")
-    for (a, b, v), i, j in zip(cleaned, starts, stops):
-        cells = slice(i, j)
-        lo = np.maximum(edges_lo[cells], a)
-        hi = np.minimum(edges_hi[cells], b)
-        length = hi - lo
-        mu[cells] += v * length
-        absc[cells] += abs(v) * length
-        # exact integral of v^2 (1 - t) over each overlap
-        sharp[cells] += v * v * ((1.0 - lo) ** 2 - (1.0 - hi) ** 2) / 2.0
-    return SampledKernel(n, mu, absc, sharp, tuple(cleaned))
+    for cells, v, lo, hi in _overlaps(cleaned, n):
+        mu[cells] += v * (hi - lo)
+    return SampledKernel(mu, tuple(cleaned))
 
 
 def kernel_power(p: int, n: int) -> SampledKernel:
@@ -164,39 +156,22 @@ def kernel_power(p: int, n: int) -> SampledKernel:
     if p < 0:
         raise ValueError("power must be nonnegative")
     fact = math.factorial(p)
-    F = lambda u: u ** (p + 1) / ((p + 1) * fact)
-    F_sharp = lambda u: (u ** (2 * p + 1) / (2 * p + 1)
-                         - u ** (2 * p + 2) / (2 * p + 2)) / fact**2
-    return kernel_from_antiderivatives(F, F, F_sharp, n)
+    return kernel_from_antiderivative(lambda u: u ** (p + 1) / ((p + 1) * fact), n)
 
 
 def kernel_monomial(a: float, n: int) -> SampledKernel:
     """u^a for a > -1 (fractional powers allowed); exact cells in closed form."""
     if a <= -1.0:
         raise ValueError("exponent must exceed -1 for integrable cells")
-    F = lambda u: u ** (a + 1.0) / (a + 1.0)
-    if 2.0 * a > -1.0:
-        F_sharp = lambda u: (u ** (2 * a + 1.0) / (2 * a + 1.0)
-                             - u ** (2 * a + 2.0) / (2 * a + 2.0))
-    else:
-        # |f|^2 is not integrable at 0; leave the sharp cells empty
-        F_sharp = lambda u: np.zeros_like(np.asarray(u, dtype=float))
-    return kernel_from_antiderivatives(F, F, F_sharp, n)
+    return kernel_from_antiderivative(lambda u: u ** (a + 1.0) / (a + 1.0), n)
 
 
 def kernel_polynomial(coeffs, n: int) -> SampledKernel:
-    """c_0 + c_1 u + ... with real coefficients; signed and squared cells exact."""
+    """c_0 + c_1 u + ... with real coefficients; exact cells."""
     c = np.asarray(coeffs, dtype=float)
     intc = np.concatenate([[0.0], c / (np.arange(len(c)) + 1.0)])
-    sq = np.polynomial.polynomial.polymul(c, c)
-    sq_weighted = np.polynomial.polynomial.polysub(sq, np.concatenate([[0.0], sq]))
-    int_sq = np.concatenate([[0.0], sq_weighted / (np.arange(len(sq_weighted)) + 1.0)])
-    F = lambda u: np.polynomial.polynomial.polyval(u, intc)
-    F_sharp = lambda u: np.polynomial.polynomial.polyval(u, int_sq)
-    kern = kernel_from_antiderivatives(F, F, F_sharp, n)
-    # |f| cells are not available in closed form for sign-changing polynomials;
-    # fall back to |mu| (a lower bound, exact while f keeps one sign per cell)
-    return SampledKernel(n, kern.mu, np.abs(kern.mu), kern.sharp_cells)
+    return kernel_from_antiderivative(
+        lambda u: np.polynomial.polynomial.polyval(u, intc), n)
 
 
 def kernel_notell1(m: int, n: int) -> SampledKernel:
@@ -224,9 +199,7 @@ def kernel_singular32(n: int) -> SampledKernel:
     Cells are exact via the antiderivative 2 (1-x)^(-1/2); the collocation
     windows stop at 1 - h/2, so every cell is finite at any grid size.
     """
-    F = lambda u: 2.0 / np.sqrt(1.0 - u)
-    F_sharp = lambda u: 1.0 / (1.0 - u)  # integral of (1-x)^(-3) (1-x)
-    return kernel_from_antiderivatives(F, F, F_sharp, n)
+    return kernel_from_antiderivative(lambda u: 2.0 / np.sqrt(1.0 - u), n)
 
 
 def parse_kernel_spec(spec: str, n: int) -> SampledKernel:
@@ -284,40 +257,24 @@ def build_vf(f: SampledKernel, n: int) -> VolterraDiscretization:
 def sigma_max(mu, tol: float | None = None) -> float:
     """Largest singular value of the convolution matrix with first column mu:
     `operator_norm` up to SIGMA_MAX_DENSE_DIM cells, `toeplitz_operator_norm`
-    above, both at operator_norm's defaults (tol max(1e-13, 4 eps N), 3 restarts)."""
+    above, both at their shared defaults (tol max(1e-13, 4 eps N), 3 restarts)."""
     mu = np.asarray(mu)
-    if tol is None:
-        tol = max(1e-13, 4.0 * np.finfo(float).eps * len(mu))
     if len(mu) <= SIGMA_MAX_DENSE_DIM:
         return operator_norm(_toeplitz(mu), tol=tol)
-    return toeplitz_operator_norm(mu, tol=tol, restarts=3)
-
-
-def convolve(f: SampledKernel, g: SampledKernel) -> SampledKernel:
-    """Causal convolution at cell level: the Cauchy product of the cell arrays.
-
-    By the Toeplitz band identity, build_vf(convolve(f, g)) equals
-    build_vf(f) @ build_vf(g) to rounding, so operator products and kernel
-    convolutions agree exactly at scheme level.  A p-fold product is a chain
-    of p - 1 calls, truncated to the grid after every factor.  The result
-    approximates the true f*g cells to first order.
-    """
-    if f.grid_size != g.grid_size:
-        raise ValueError("kernels live on different grids")
-    n = f.grid_size
-    mu = cauchy(f.mu, g.mu)
-    absc = cauchy(f.abs_cells, g.abs_cells)
-    centers = np.maximum(np.arange(n), 0.25) * (1.0 / n)
-    widths = np.full(n, 1.0 / n)
-    widths[0] = 0.5 / n
-    sharp = np.abs(mu) ** 2 / widths * (1.0 - centers)
-    return SampledKernel(n, mu, absc, sharp)
+    return toeplitz_operator_norm(mu, tol=tol)
 
 
 def hs_norm(f: SampledKernel) -> float:
     """The Hilbert-Schmidt norm of the convolution operator: the square root
-    of the integral of |f(t)|^2 (1 - t), accumulated cell by cell."""
-    return math.sqrt(float(np.sum(f.sharp_cells)))
+    of the integral of |f(t)|^2 (1 - t), accumulated cell by cell over the
+    pieces' window overlaps.  Only a piecewise-constant kernel has one here."""
+    if f.pieces is None:
+        raise ValueError("hs_norm needs a kernel with pieces")
+    sharp = np.zeros(f.grid_size)
+    for cells, v, lo, hi in _overlaps(f.pieces, f.grid_size):
+        # exact integral of v^2 (1 - t) over each overlap
+        sharp[cells] += v * v * ((1.0 - lo) ** 2 - (1.0 - hi) ** 2) / 2.0
+    return math.sqrt(float(np.sum(sharp)))
 
 
 def power_kernel_check(p: int, n: int) -> ExperimentReport:
@@ -370,7 +327,7 @@ def v2norm(*, dim: int = 1000) -> ExperimentReport:
     errors = []
     for n in (dim // 4, dim // 2, dim):
         v = kernel_constant(1.0, n)
-        sigma = sigma_max(convolve(v, v).mu)
+        sigma = sigma_max(cauchy(v.mu, v.mu))
         errors.append(abs(sigma - nrm))
         rep.add(f"sigma_sq_dim_{n}", sigma)
         rep.add(f"error_dim_{n}", errors[-1])
@@ -459,30 +416,20 @@ def nilpotent_approximation(f: SampledKernel, delta: float):
     if d == 0:
         return f, 0.0
     if d >= n:
-        zero = SampledKernel(n, np.zeros(n), np.zeros(n), np.zeros(n),
-                             tuple() if f.pieces is not None else None)
+        zero = SampledKernel(np.zeros(n), () if f.pieces is not None else None)
         return zero, f.l1_partial(1.0)
     if f.pieces is not None:
         clipped = [(max(a, delta), b, v) for a, b, v in f.pieces if b > delta]
-        if clipped:
-            h_kernel = kernel_step(clipped, n)
-        else:
-            h_kernel = SampledKernel(n, np.zeros(n), np.zeros(n), np.zeros(n), tuple())
+        h_kernel = kernel_step(clipped, n)
         bound = f.l1_partial(delta)
     else:
-        mu = f.mu.copy()
-        absc = f.abs_cells.copy()
-        sharp = f.sharp_cells.copy()
         # window d straddles delta: keep its upper half (midpoint split)
-        removed = float(np.sum(absc[:d]) + 0.5 * absc[d])
+        absc = np.abs(f.mu)
+        bound = float(np.sum(absc[:d]) + 0.5 * absc[d])
+        mu = f.mu.copy()
         mu[:d] = 0.0
-        absc[:d] = 0.0
-        sharp[:d] = 0.0
         mu[d] *= 0.5
-        absc[d] *= 0.5
-        sharp[d] *= 0.5
-        h_kernel = SampledKernel(n, mu, absc, sharp)
-        bound = removed
+        h_kernel = SampledKernel(mu)
     diff = f.mu - h_kernel.mu
     if np.sum(np.abs(diff)) > bound + 1e-10:
         raise RuntimeError("removed mass exceeds the certified bound")
@@ -515,7 +462,7 @@ def titchmarsh_alpha(f: SampledKernel, g: SampledKernel, tol: float = 1e-10):
     """From a numerically vanishing convolution, recover complementary
     support starts: alpha + beta >= 1 - 2/N on the grid."""
     n = f.grid_size
-    sigma = sigma_max(convolve(f, g).mu)
+    sigma = sigma_max(cauchy(f.mu, g.mu))
     if sigma >= tol:
         raise ValueError(
             f"convolution is not numerically zero: sigma_max = {sigma}")
@@ -553,7 +500,7 @@ def titchmarsh(*, dim: int = 240) -> ExperimentReport:
     for n in (dim // 2, dim, 2 * dim):
         f = kernel_monomial(-0.5, n)
         target = kernel_constant(math.pi, n)
-        err = sigma_max(target.mu - convolve(f, f).mu, tol=1e-8)
+        err = sigma_max(target.mu - cauchy(f.mu, f.mu), tol=1e-8)
         errors.append(err)
         rep.add(f"homomorphism_error_dim_{n}", err)
     ratios = [a / b for a, b in zip(errors, errors[1:])]
@@ -620,7 +567,7 @@ def ideal_restriction_check(f: SampledKernel, x0: float, g: SampledKernel) -> Ex
         nz = int(np.nonzero(f.mu)[0][0])
         raise ValueError(
             f"membership violated: cell {nz} below x0 = {x0} is nonzero")
-    conv = convolve(g, f)
+    conv = SampledKernel(cauchy(g.mu, f.mu))
     rep = ExperimentReport("ideal-restriction", {"x0": x0, "dim": n})
     rep.add("f_support_start", f.support_start)
     rep.add("product_support_start", conv.support_start)

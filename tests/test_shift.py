@@ -56,7 +56,6 @@ class TestWeightSequences:
 
     def test_spec_language(self):
         assert parse_weight_spec("harmonic", 4).family == "harmonic"
-        assert parse_weight_spec("geometric:0.5", 4).ratio == 0.5
         assert parse_weight_spec("ones", 4).family == "ones"
         w = parse_weight_spec("list:1,0.5,0.25", 3)
         assert np.allclose(w.values, [1.0, 0.5, 0.25])

@@ -9,17 +9,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from opalg import volterra
-from opalg.numkit import operator_norm, toeplitz_operator_norm
+from opalg.numkit import cauchy, operator_norm, toeplitz_operator_norm
 from opalg.volterra import (
     SIGMA_MAX_DENSE_DIM,
     SampledKernel,
     _window_edges,
     build_vf,
-    convolve,
     hs_norm,
     ideal_restriction_check,
     kernel_constant,
-    kernel_from_antiderivatives,
     kernel_monomial,
     kernel_notell1,
     kernel_polynomial,
@@ -40,18 +38,18 @@ from opalg.volterra import (
 
 
 def kernel_step_reference(pieces, n):
-    """kernel_step's cell data with every piece swept over all n cells."""
+    """kernel_step's cells and Hilbert-Schmidt cells with every piece swept
+    over all n cells."""
     edges_lo, edges_hi = _window_edges(n)
-    mu, absc, sharp = np.zeros(n), np.zeros(n), np.zeros(n)
+    mu, sharp = np.zeros(n), np.zeros(n)
     for a, b, v in sorted(pieces):
         lo = np.maximum(edges_lo, a)
         hi = np.minimum(edges_hi, b)
         length = np.maximum(0.0, hi - lo)
         mu += v * length
-        absc += abs(v) * length
         sharp += np.where(length > 0.0,
                           v * v * ((1.0 - lo) ** 2 - (1.0 - hi) ** 2) / 2.0, 0.0)
-    return mu, absc, sharp
+    return mu, sharp
 
 
 @st.composite
@@ -88,9 +86,9 @@ class TestKernelStep:
     def test_matches_all_cells_reference(self, inputs):
         n, pieces = inputs
         f = kernel_step(pieces, n)
-        for got, want in zip((f.mu, f.abs_cells, f.sharp_cells),
-                             kernel_step_reference(pieces, n)):
-            assert np.array_equal(got, want)
+        mu, sharp = kernel_step_reference(pieces, n)
+        assert np.array_equal(f.mu, mu)
+        assert hs_norm(f) == math.sqrt(float(np.sum(sharp)))
 
 
 class TestBuildVf:
@@ -118,7 +116,7 @@ class TestBuildVf:
 
     def test_nonfinite_cells_rejected(self):
         with pytest.raises(ValueError):
-            SampledKernel(4, np.array([0.0, np.inf, 0.0, 0.0]), np.zeros(4), np.zeros(4))
+            SampledKernel(np.array([0.0, np.inf, 0.0, 0.0]))
 
     @settings(deadline=None, derandomize=True)
     @given(step_inputs(max_n=64))
@@ -137,12 +135,12 @@ class TestBuildVf:
         n, pieces = data.draw(step_inputs(max_n=64))
         f = kernel_step(pieces, n)
         g = kernel_step(data.draw(step_pieces(n)), n)
-        lhs = build_vf(convolve(f, g), n).matrix.entries
+        lhs = build_vf(SampledKernel(cauchy(f.mu, g.mu)), n).matrix.entries
         rhs = build_vf(f, n).matrix.entries @ build_vf(g, n).matrix.entries
         # two summation orders of length-n dot products differ by at most
         # 2 gamma_n sum_k |f_k g_k| <= n eps |f|_1 |g|_1, with slack 2
         eps = np.finfo(float).eps
-        bound = 2.0 * n * eps * f.l1_total * g.l1_total
+        bound = 2.0 * n * eps * np.abs(f.mu).sum() * np.abs(g.mu).sum()
         assert np.max(np.abs(lhs - rhs)) <= bound
         # A p-fold chain, truncated after every factor, against matrix_power.
         # Each side makes at most p - 1 products (matrix_power's binary
@@ -152,7 +150,7 @@ class TestBuildVf:
         # is within ((1 + gamma_n)^(p-1) - 1) |mu|_1^p of V_f^p; at p = 2 the
         # two sides differ by 2 gamma_n |mu|_1^2, the bound above.
         p = data.draw(st.integers(2, 6))
-        chain = functools.reduce(convolve, [f] * p)
+        chain = SampledKernel(functools.reduce(cauchy, [f.mu] * p))
         power = np.linalg.matrix_power(build_vf(f, n).matrix.entries, p)
         gamma = n * eps / (1.0 - n * eps)
         bound = 2.0 * ((1.0 + gamma) ** (p - 1) - 1.0) * np.sum(np.abs(f.mu)) ** p
@@ -223,6 +221,10 @@ class TestHsNorm:
     def test_zero(self):
         assert hs_norm(kernel_step([(0.0, 1.0, 0.0)], 8)) == 0.0
 
+    def test_kernel_without_pieces_rejected(self):
+        with pytest.raises(ValueError, match="pieces"):
+            hs_norm(kernel_power(1, 16))
+
     def test_matches_frobenius_within_h(self):
         for n in (64, 128):
             f = kernel_constant(1.0, n)
@@ -240,7 +242,7 @@ class TestNotell1:
     def test_single_block(self):
         f = kernel_notell1(1, 4)
         assert f.pieces == ((0.0, 0.5, 2.0),)
-        assert f.l1_total == pytest.approx(1.0, abs=1e-15)
+        assert np.abs(f.mu).sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_harmonic_partial_masses(self):
         f = kernel_notell1(3, 16)
@@ -291,19 +293,22 @@ class TestPowerNormTable:
 
 
 class TestConvolve:
+    """A product of kernels is the Cauchy product of their cell columns."""
+
     def test_constant_pair_gives_linear_kernel(self):
         n = 128
-        conv = convolve(kernel_constant(1.0, n), kernel_constant(1.0, n))
+        mu = kernel_constant(1.0, n).mu
+        conv = cauchy(mu, mu)
         target = kernel_power(1, n)
         # cells match the u-kernel exactly away from the first window
-        assert np.max(np.abs(conv.mu[1:] - target.mu[1:])) < 1e-15
-        assert abs(conv.mu[0] - target.mu[0]) <= 0.25 / n**2
+        assert np.max(np.abs(conv[1:] - target.mu[1:])) < 1e-15
+        assert abs(conv[0] - target.mu[0]) <= 0.25 / n**2
 
     def test_matrix_product_identity(self):
         n = 64
         f = kernel_polynomial([1.0, -0.5], n)
         g = kernel_step([(0.25, 0.75, 2.0)], n)
-        lhs = build_vf(convolve(f, g), n).matrix.entries
+        lhs = build_vf(SampledKernel(cauchy(f.mu, g.mu)), n).matrix.entries
         rhs = build_vf(f, n).matrix.entries @ build_vf(g, n).matrix.entries
         assert np.max(np.abs(lhs - rhs)) < 1e-14
 
@@ -311,19 +316,14 @@ class TestConvolve:
         n = 200
         f = kernel_step([(0.3, 1.0, 1.0)], n)
         g = kernel_step([(0.2, 1.0, 1.0)], n)
-        conv = convolve(f, g)
+        conv = SampledKernel(cauchy(f.mu, g.mu))
         assert abs(conv.support_start - 0.5) <= 1.0 / n
 
     def test_complementary_supports_annihilate(self):
         n = 100
         f = kernel_step([(0.6, 1.0, 3.0)], n)
         g = kernel_step([(0.4, 1.0, -2.0)], n)
-        conv = convolve(f, g)
-        assert np.all(conv.mu == 0.0)
-
-    def test_grid_mismatch(self):
-        with pytest.raises(ValueError):
-            convolve(kernel_constant(1.0, 8), kernel_constant(1.0, 16))
+        assert np.all(cauchy(f.mu, g.mu) == 0.0)
 
 
 class TestNilpotency:
@@ -366,6 +366,13 @@ class TestNilpotentApproximation:
         _, bound = nilpotent_approximation(f, 0.5)
         assert bound == pytest.approx(1.0, abs=1e-14)
 
+    def test_step_kernel_below_cutoff_truncates_to_zero(self):
+        f = kernel_step([(0.0, 0.25, 1.0)], 8)
+        h_kernel, bound = nilpotent_approximation(f, 0.5)
+        assert h_kernel.pieces == ()
+        assert np.all(h_kernel.mu == 0.0)
+        assert bound == 0.25
+
     def test_zero_cutoff(self):
         f = kernel_constant(1.0, 16)
         h_kernel, bound = nilpotent_approximation(f, 0.0)
@@ -385,6 +392,36 @@ class TestNilpotentApproximation:
     def test_off_grid_cutoff_rejected(self):
         with pytest.raises(ValueError):
             nilpotent_approximation(kernel_constant(1.0, 16), 0.13)
+
+    # constructors without pieces: their l1 mass comes from the cells
+    CELL_KERNELS = {
+        "powern": lambda n: kernel_power(2, n),
+        "singular32": kernel_singular32,
+        "monomial": lambda n: kernel_monomial(-0.5, n),
+        "poly": lambda n: kernel_polynomial([1.0, 0.0, -4.5], n),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CELL_KERNELS))
+    @pytest.mark.parametrize("n, delta", [(200, 0.1), (40, 0.25), (40, 1.0)])
+    def test_cell_path_bound_is_removed_column_mass(self, name, n, delta):
+        f = self.CELL_KERNELS[name](n)
+        assert f.pieces is None
+        h_kernel, bound = nilpotent_approximation(f, delta)
+        d = round(delta * n)
+        absc = np.abs(f.mu)
+        if d < n:
+            # the window straddling delta keeps its upper half
+            assert bound == float(np.sum(absc[:d]) + 0.5 * absc[d])
+            assert np.array_equal(h_kernel.mu[d + 1:], f.mu[d + 1:])
+            assert h_kernel.mu[d] == 0.5 * f.mu[d]
+        else:
+            # nothing is kept: the bound is the whole column's mass
+            assert bound == pytest.approx(absc.sum(), rel=1e-14)
+        assert np.all(h_kernel.mu[:d] == 0.0)
+        assert nilpotency_check(h_kernel, round(1.0 / delta), n)
+        diff = operator_norm(build_vf(f, n).matrix.entries
+                             - build_vf(h_kernel, n).matrix.entries)
+        assert diff <= bound + 1e-10
 
 
 class TestTitchmarsh:
@@ -442,8 +479,7 @@ class TestIdealRestriction:
         n = 100
         f = kernel_step([(0.5, 1.0, 1.0)], n)
         g = kernel_step([(0.5, 1.0, -1.0)], n)
-        conv = convolve(g, f)
-        assert np.all(conv.mu == 0.0)
+        assert np.all(cauchy(g.mu, f.mu) == 0.0)
 
     def test_trivial_ideal(self):
         n = 64
@@ -485,7 +521,7 @@ class TestUnboundedWitness:
 class TestKernelSpecLanguage:
     def test_round_trip_constants(self):
         f = parse_kernel_spec("const:2.5", 16)
-        assert f.l1_total == pytest.approx(2.5 * (1.0 - 1.0 / 32.0))
+        assert np.abs(f.mu).sum() == pytest.approx(2.5 * (1.0 - 1.0 / 32.0))
 
     def test_power(self):
         f = parse_kernel_spec("powern:2", 16)
@@ -512,7 +548,7 @@ def homomorphism_residual(n):
     with its dense matrix built entrywise from the two kernels' matrices."""
     f = kernel_monomial(-0.5, n)
     target = kernel_constant(math.pi, n)
-    prod = convolve(f, f)
+    prod = SampledKernel(cauchy(f.mu, f.mu))
     dense = build_vf(target, n).matrix.entries - build_vf(prod, n).matrix.entries
     return target.mu - prod.mu, dense
 
