@@ -119,11 +119,9 @@ def fejer(*, dim: int = 32, nodes: int | None = None, nmax: int = 64,
     rep = ExperimentReport("fejer", {k: v for k, v in params.items() if v is not None})
     rep.add("degree", degree)
     ok = True
-    for m in sorted({degree, 2 * degree, nmax}):
-        if m < degree:
-            continue
-        approx = shift.polynomial_in(t, fejer_coefficients(series, m))
-        err = operator_norm(s - approx)
+    orders = [m for m in sorted({degree, 2 * degree, nmax}) if m >= degree]
+    approx = np.stack([shift.polynomial_in(t, fejer_coefficients(series, m)) for m in orders])
+    for m, err in zip(orders, operator_norm(s - approx)):
         bound = (degree / m) * coeff_mass
         rep.add(f"error_order_{m:04d}", err)
         rep.add(f"bound_order_{m:04d}", bound)

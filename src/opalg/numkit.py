@@ -224,12 +224,12 @@ def operator_norm(a, tol: float | None = None, restarts: int = 3,
     shape (m, N, N), for which a list of m floats is returned, each equal bit
     for bit to the norm of its matrix alone.  All restarts of all matrices
     advance as rows of blocks (see `_power_iterate`).  A row costs 16N bytes
-    (a complex iterate) for one matrix, and the bytes of its matrix in a
-    stack.  Rows of one matrix read it through a (1, N, N) view that matmul
-    broadcasts with stride 0, never a copy per row; a block of several
-    matrices gathers one copy of each row's matrix and adjoint.  Each row's
-    product is one BLAS gemv, as in `a @ v`: a GEMM over the block would
-    change the bits.
+    (a complex iterate) for one matrix, alone or a stack of one, and the bytes
+    of its matrix in a stack of several.  Rows of one matrix read it through
+    a (1, N, N) view that matmul broadcasts with stride 0, never a copy per
+    row; a block of several matrices gathers one copy of each row's matrix
+    and adjoint.  Each row's product is one BLAS gemv, as in `a @ v`: a GEMM
+    over the block would change the bits.
     """
     a = np.asarray(a)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
@@ -252,7 +252,7 @@ def operator_norm(a, tol: float | None = None, restarts: int = 3,
                 lambda w: np.matmul(bwd, w[:, :, None])[:, :, 0])
 
     norms = _power_iterate(
-        bind, len(stack), n, a.itemsize * n * n if a.ndim == 3 else 16 * n,
+        bind, len(stack), n, a.itemsize * n * n if len(stack) > 1 else 16 * n,
         np.iscomplexobj(a), tol, restarts, max_iter, "power iteration")
     return norms if a.ndim == 3 else norms[0]
 

@@ -305,6 +305,24 @@ class TestOperatorNorm:
         # a.nbytes each.  A second n x n array does not fit.
         assert peak <= 1.25 * a.nbytes
 
+    def test_stack_of_one_blocks_like_one_matrix(self, monkeypatch):
+        # A 128 x 128 complex matrix is BLOCK_BYTES, so charged a matrix per
+        # row its three restarts would run one block each; it has no gather
+        # to pay for, and a row costs its 16N-byte iterate, as for one matrix.
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+        matmul, widths = np.matmul, []
+
+        def spy(x, y):
+            widths.append(y.shape[0])
+            return matmul(x, y)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        alone = operator_norm(a)
+        alone_widths, widths[:] = widths[:], []
+        assert operator_norm(a[None]) == [alone]
+        assert widths == alone_widths and widths[0] == 3
+
     def test_stack_allocates_adjoint_and_two_gathers(self):
         rng = np.random.default_rng(4)
         stack = rng.standard_normal((64, 16, 16)) + 1j * rng.standard_normal((64, 16, 16))

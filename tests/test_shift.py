@@ -1,6 +1,7 @@
 """Tests for the weighted-shift algebra module."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opalg.numkit import operator_norm
+from opalg.report import ExperimentReport
 from opalg.shift import (
+    HARMONIC,
     build_shift,
     explicit_weights,
     geometric_weights,
@@ -218,6 +221,36 @@ class TestBandLayout:
             assert np.all(np.abs(got - want) <= 2.0 * gamma / (1.0 - gamma) * np.abs(want))
 
 
+@st.composite
+def coefficient_stacks(draw):
+    """(dim, family, weights, an (m, d) coefficient stack), d up to 2 * dim."""
+    n, family, w = draw(shift_inputs())
+    m = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 2 * n))
+    return n, family, w, np.array(draw(st.lists(st.lists(COEFF, min_size=d, max_size=d),
+                                                min_size=m, max_size=m)))
+
+
+class TestPolynomialStack:
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(coefficient_stacks())
+    def test_stack_equals_rows_laid_down_alone(self, inputs):
+        n, _, w, coeffs = inputs
+        t = build_shift(w, n)
+        got = polynomial_in(t, coeffs)
+        assert got.shape == (len(coeffs), n, n)
+        assert np.array_equal(got, np.stack([polynomial_in(t, c) for c in coeffs]))
+        # any leading shape: a (1, m, d) stack lays down the same matrices
+        assert np.array_equal(polynomial_in(t, coeffs[None]), got[None])
+
+    def test_both_sides_of_the_truncation(self):
+        t = build_shift(harmonic_weights(6), 6)
+        for d in (3, 5, 9):  # below, at and past N - 1
+            coeffs = np.arange(2 * d).reshape(2, d) + 1j
+            assert np.array_equal(polynomial_in(t, coeffs),
+                                  np.stack([polynomial_in(t, c) for c in coeffs]))
+
+
 class TestVectorNorm:
     def test_shift_itself(self):
         t = build_shift(harmonic_weights(4), 4)
@@ -257,6 +290,61 @@ class TestNormEquivalence:
     def test_increasing_weights_refused(self):
         with pytest.raises(ValueError, match="decreasing"):
             equivalence(dim=4, nmax=2, weights="list:1,2,3", seed=1)
+
+
+def sequential_equivalence(*, dim=32, nmax=100, weights=HARMONIC, seed=0):
+    """`equivalence` as it was before it normed its family in stacks: one
+    polynomial laid down and normed per trial."""
+    t = build_shift(parse_weight_spec(weights, dim), dim)
+    w = t.weights
+    if not w.monotone_decreasing:
+        raise ValueError("hypothesis violated: weights are not decreasing")
+    if not math.isfinite(w.l2_sum):
+        raise ValueError("hypothesis violated: squared l2 mass of the weights is infinite")
+    bound = math.sqrt(w.l2_sum) / abs(complex(w.values[0]))
+    rep = ExperimentReport("norm-equivalence",
+                           {"dim": dim, "nmax": nmax, "weights": weights})
+    rep.add("bound_constant", bound)
+    worst = 0.0
+    for trial in range(nmax):
+        s = polynomial_in(t, random_polynomial(t, seed, trial))
+        ratio = operator_norm(s) / vector_norm_at_e0(s)
+        rep.add(f"ratio_{trial:03d}", ratio)
+        worst = max(worst, ratio)
+    rep.add("max_ratio", worst)
+    rep.check("all_ratios_within_bound", worst <= bound + 1e-10)
+    return rep
+
+
+class TestStackedEquivalence:
+    @pytest.mark.parametrize("config", [
+        {"dim": 32, "nmax": 100},          # the default: six full chunks of 16 and one of 4
+        {"dim": 8, "nmax": 37},            # one chunk
+        {"dim": 128, "nmax": 5},           # one polynomial per chunk
+        {"weights": "geometric:0.5", "seed": 7},
+    ])
+    def test_report_bytes_match_the_sequential_loop(self, config):
+        got, want = equivalence(**config), sequential_equivalence(**config)
+        assert got.to_csv_bytes() == want.to_csv_bytes()
+        assert got.to_json_bytes() == want.to_json_bytes()
+
+    def test_family_is_never_materialized_whole(self):
+        equivalence(dim=128, nmax=8)
+        tracemalloc.start()
+        try:
+            equivalence(dim=128, nmax=8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # At N = 128 a chunk is one polynomial: its matrix, the norm's
+        # adjoint and the conjugate the adjoint is copied from are live at
+        # once.  The eight matrices of the whole family do not fit.
+        assert peak <= 4 * 16 * 128 * 128
+
+    @pytest.mark.parametrize("nmax", [0, -1])
+    def test_nonpositive_nmax_refused(self, nmax):
+        with pytest.raises(ValueError, match="nmax must be positive"):
+            equivalence(nmax=nmax)
 
 
 class TestInequivalence:
