@@ -258,7 +258,7 @@ def operator_norm(a, tol: float | None = None, restarts: int = 3,
 
 
 def _column_norms_squared(rows: np.ndarray) -> np.ndarray:
-    return np.real(np.einsum("ij,ij->i", rows.conj(), rows))
+    return np.vecdot(rows, rows).real
 
 
 @functools.lru_cache(maxsize=16)
@@ -284,20 +284,22 @@ def _round_robin(n: int) -> tuple:
     return tuple(rounds)
 
 
-def jacobi_svd(a, tol: float = 1e-14, max_sweeps: int = 60):
+def jacobi_svd(a, tol: float = 1e-14, max_sweeps: int = 60, vectors: bool = True):
     """One-sided (Hestenes) Jacobi SVD of a (possibly rectangular) matrix.
 
     Returns (singular values in decreasing order, right singular vectors as
-    columns).  Column pairs are orthogonalised by unitary plane rotations; at
-    convergence the singular values are the column norms.
+    columns), or (singular values, None) with `vectors=False`, which rotates
+    the columns of A alone.  Column pairs are orthogonalised by unitary plane
+    rotations; at convergence the singular values are the column norms.
 
     A sweep visits every column pair once, in the round-robin (tournament)
     order of Brent & Luk (1985): about n rounds of n/2 disjoint pairs.  The
     rotations of one round touch disjoint columns and commute, so a round is
-    one vectorized step: one einsum gives the pair inner products, the
-    rotation parameters are arrays, and one batched 2x2 product rotates the
-    columns of A and V together.  A sweep still costs O(n^2 (m + n)) flops,
-    but in about n numpy steps instead of n(n-1)/2 interpreted ones.
+    one vectorized step: one gather of the paired columns, one `np.vecdot`
+    for the pair inner products, rotation parameters as arrays, one batched
+    2x2 product that rotates the columns of A (and of V) together, and one
+    scatter.  A sweep still costs O(n^2 (m + n)) flops, or O(n^2 m) without
+    vectors, but in about n numpy steps instead of n(n-1)/2 interpreted ones.
 
     The tracked squared column norms are re-anchored to exact ones after every
     sweep: within a sweep they lose relative accuracy once a column shrinks
@@ -318,17 +320,19 @@ def jacobi_svd(a, tol: float = 1e-14, max_sweeps: int = 60):
         raise ValueError(
             f"shape {a.shape} exceeds the Jacobi oracle cost guard "
             f"({SVD_ORACLE_MAX_DIM} square equivalent)")
-    a = np.array(a, dtype=complex)
-    _validate_finite(a)
-    # Row j of w is column j of A followed by column j of V, so one gather and
-    # one scatter per round rotate both.
-    w = np.concatenate([a.T, np.eye(n, dtype=complex)], axis=1)
+    # Row j of w is column j of A, followed by column j of V when vectors are
+    # wanted, so one gather and one scatter per round rotate both.
+    w = np.empty((n, m + n if vectors else m), dtype=complex)
+    w[:, :m] = a.T
+    _validate_finite(w[:, :m])
+    if vectors:
+        w[:, m:] = np.eye(n)
     sq = _column_norms_squared(w[:, :m])
     for _ in range(max_sweeps):
         off = 0.0
         for pq in _round_robin(n):
             wpq = w[pq]
-            apq = np.einsum("ij,ij->i", wpq[:, 0, :m].conj(), wpq[:, 1, :m])
+            apq = np.vecdot(wpq[:, 0, :m], wpq[:, 1, :m])
             app, aqq = sq[pq].T
             scale = np.sqrt(app * aqq)
             g = np.abs(apq)
@@ -347,10 +351,17 @@ def jacobi_svd(a, tol: float = 1e-14, max_sweeps: int = 60):
             s = t * c
             # rows p, q <- [[c, -s*phase], [s, c*phase]] @ rows p, q
             phase = np.conj(apq) / g
-            rot = np.stack([c, -s * phase, s, c * phase], axis=1).reshape(-1, 2, 2)
+            rot = np.empty((len(pq), 2, 2), dtype=complex)
+            rot[:, 0, 0] = c
+            np.multiply(-s, phase, out=rot[:, 0, 1])
+            rot[:, 1, 0] = s
+            np.multiply(c, phase, out=rot[:, 1, 1])
             w[pq] = rot @ wpq
             tg = t * g
-            sq[pq] = np.maximum(np.stack([app - tg, aqq + tg], axis=1), 0.0)
+            new = np.empty((len(pq), 2))
+            np.subtract(app, tg, out=new[:, 0])
+            np.add(aqq, tg, out=new[:, 1])
+            sq[pq] = np.maximum(new, 0.0, out=new)
         if off <= tol:
             break
         # re-anchor (see the docstring); LAPACK's xGESVJ also recomputes drifted norms
@@ -358,15 +369,16 @@ def jacobi_svd(a, tol: float = 1e-14, max_sweeps: int = 60):
     else:
         raise ConvergenceError(
             f"Jacobi sweeps did not converge within {max_sweeps} sweeps", math.sqrt(max(sq)))
-    sigmas = np.linalg.norm(w[:, :m], axis=1)
+    sigmas = np.sqrt(_column_norms_squared(w[:, :m]))
     order = np.argsort(sigmas)[::-1]
-    return sigmas[order], w[order, m:].T
+    return sigmas[order], (w[order, m:].T if vectors else None)
 
 
 def svd_oracle(a) -> float:
-    """Largest singular value via the dense Jacobi SVD (test/cross-check path)."""
-    sigmas, _ = jacobi_svd(a)
-    return float(sigmas[0])
+    """Largest singular value via the dense Jacobi SVD (test/cross-check path),
+    0.0 for a matrix with no entries.  Calls `jacobi_svd` without vectors."""
+    sigmas, _ = jacobi_svd(a, vectors=False)
+    return float(sigmas[0]) if sigmas.size else 0.0
 
 
 def cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:

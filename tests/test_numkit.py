@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opalg import numkit
 from opalg.numkit import (
     BLOCK_BYTES,
     ComplexMatrix,
@@ -414,7 +415,42 @@ class TestJacobiSvd:
                      "lstsq", "solve", "inv", "pinv", "det", "matrix_rank"):
             monkeypatch.setattr(np.linalg, name, refuse)
         rng = np.random.default_rng(11)
-        jacobi_svd(rng.standard_normal((12, 9)) + 1j * rng.standard_normal((12, 9)))
+        a = rng.standard_normal((12, 9)) + 1j * rng.standard_normal((12, 9))
+        jacobi_svd(a)
+        jacobi_svd(a, vectors=False)
+        svd_oracle(a)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0), (0, 3)])
+    def test_oracle_of_matrix_without_entries_is_zero(self, shape):
+        assert svd_oracle(np.zeros(shape)) == 0.0
+
+    def test_oracle_goes_through_module_level_jacobi_svd(self, monkeypatch):
+        # the benchmark's span tracer counts calls through this name
+        calls, original = [], numkit.jacobi_svd
+
+        def recorder(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(numkit, "jacobi_svd", recorder)
+        a = seed_411_matrix()[:20, :20]
+        assert svd_oracle(a) == float(original(a, vectors=False)[0][0])
+        assert calls == [{"vectors": False}]
+
+    def test_oracle_allocates_no_vectors(self):
+        a = seed_411_matrix()
+        _round_robin(a.shape[1])  # the schedule is cached across calls
+        tracemalloc.start()
+        try:
+            svd_oracle(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # Live at once: the rotated copy of A's columns, a round's gather of
+        # the paired columns and its rotated product, each about a.nbytes
+        # (16n^2).  Carrying V as well doubles all three: the [A^T | I] block
+        # alone is 2 a.nbytes, and with its gather and product 6 a.nbytes.
+        assert peak < 3.25 * a.nbytes
 
     def test_seed_411_matches_lapack(self):
         a = seed_411_matrix()
@@ -448,6 +484,11 @@ class TestJacobiSvd:
         b = a @ v
         gram = b.conj().T @ b
         assert np.max(np.abs(gram - np.diag(np.diag(gram)))) <= bound * max(1.0, ref[0])
+        values, none = jacobi_svd(a, vectors=False)
+        assert none is None
+        assert np.max(np.abs(values - sigmas)) <= 1e-13 * max(1.0, sigmas[0])
+        assert np.max(np.abs(values[:len(ref)] - ref)) <= bound
+        assert np.all(values[len(ref):] <= bound)
 
 
 class TestFindRoot:
