@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,7 +156,8 @@ def _power_iterate(bind, operators, n, row_bytes, complex_start, tol, restarts,
     previous pair is released, whenever rows leave.  Both map a (rows, n)
     array to one row of A v (or A* w) per row, and may return a view of a
     buffer that their next call overwrites: the core reads w = A v before it
-    calls `rmatvec`, and the next iterates z / ||z|| are a fresh array.
+    calls `rmatvec`, and writes the next iterates z / ||z|| into the previous
+    iterates' buffer (into the copy of z's remaining rows when rows left).
     """
     if not tol >= _EPS * n:  # also rejects NaN
         raise ValueError(f"tol={tol} below machine resolution eps*N={_EPS * n}")
@@ -194,13 +196,14 @@ def _power_iterate(bind, operators, n, row_bytes, complex_start, tol, restarts,
                 # drop the block's operands before `bind` builds the next ones
                 matvec = rmatvec = None
                 if not keep:
+                    v = w = z = None  # and its iterates before `_starts` draws the next
                     break
                 live = [live[i] for i in keep]
                 sigma = [sigma[i] for i in keep]
                 settled = [settled[i] for i in keep]
                 nz = [nz[i] for i in keep]
-                z = z[keep]
-            v = z / np.array(nz)[:, None]
+                v = z = z[keep]  # a copy, free to take the next iterates
+            np.divide(z, np.array(nz)[:, None], out=v)
         else:
             raise ConvergenceError(
                 f"{label} did not settle within {max_iter} iterations", sigma[0])
@@ -447,14 +450,25 @@ def toeplitz_operator_norm(first_column, tol: float | None = None, restarts: int
     `fft`/`ifft` and complex starts.  The defaults of `tol` and `restarts`
     are `operator_norm`'s.
 
-    The spectrum of the column and its conjugate are computed once.  The
-    restarts advance as rows of blocks (see `_power_iterate`), a row counting
-    16N bytes, so from N = 2^14 on a block is one restart.  Every product
-    transforms the block's rows into one reused (rows, .) spectrum buffer,
-    multiplies it in place and transforms back into one reused signal
-    buffer, so a power step allocates only the next iterates; `matvec` and
-    `rmatvec` return views of the signal buffer.  Batched transforms along
-    the last axis give each row the bits of a one-row transform.
+    The spectrum of the column is computed once.  The restarts advance as
+    rows of blocks (see `_power_iterate`), a row counting 16N bytes, so from
+    N = 2^14 on a block is one restart.  Every product transforms the
+    block's rows into one reused (rows, .) spectrum buffer, multiplies it in
+    place and transforms back into one reused signal buffer, so a power step
+    allocates nothing; `matvec` and `rmatvec` return views of the signal
+    buffer.  The adjoint's factor conj(Ĉ) is not stored: conj(Ĉ) W is
+    computed as conj(Ĉ conj(W)) with in-place conjugates, the same bits but
+    for the sign of an exact zero.  Batched transforms along the last axis
+    give each row the bits of a one-row transform.
+
+    A block of one row runs on one worker thread, which the call starts and
+    joins; the restarts stay sequential, `.result()` re-raises errors
+    unchanged, and an interrupt stops the worker at its next transform.
+    pocketfft's scratch for a transform of 2^21 points is about 32 MB, and
+    glibc's main arena gives it back to the kernel after every transform and
+    faults it in again on the next: 16,320 minor faults and about 140 ms per
+    `rfft`/`irfft` pair, against none and about 100 ms on a worker, whose
+    arena keeps its pages.  Smaller blocks stay on the calling thread.
     """
     col = np.asarray(first_column)
     if col.ndim != 1 or col.size == 0:
@@ -471,22 +485,41 @@ def toeplitz_operator_norm(first_column, tol: float | None = None, restarts: int
     forward, inverse = ((np.fft.fft, np.fft.ifft) if is_complex
                         else (np.fft.rfft, np.fft.irfft))
     chat = forward(col, length)
-    chat_conj = np.conj(chat)
-    rows = min(max(restarts, 1), _block_rows(16 * n))  # the core rejects restarts < 1
+    per_block = _block_rows(16 * n)
+    rows = min(max(restarts, 1), per_block)  # the core rejects restarts < 1
     spec = np.empty((rows, chat.size), dtype=chat.dtype)
     signal = np.empty((rows, length), dtype=col.dtype)
+    interrupted = threading.Event()
 
     def bind(ops):
         spec_k, signal_k = spec[:len(ops)], signal[:len(ops)]
 
-        def product(factor, v):
+        def product(v, adjoint):
+            if interrupted.is_set():
+                raise KeyboardInterrupt
             forward(v, length, out=spec_k)
-            # factor first: numpy's SIMD complex multiply is not symmetric bit for bit
-            np.multiply(factor, spec_k, out=spec_k)
+            if adjoint:
+                np.conjugate(spec_k, out=spec_k)
+            # chat first: numpy's SIMD complex multiply is not symmetric bit for bit
+            np.multiply(chat, spec_k, out=spec_k)
+            if adjoint:
+                np.conjugate(spec_k, out=spec_k)
             inverse(spec_k, length, out=signal_k)
             return signal_k[:, :n]
 
-        return (lambda v: product(chat, v)), (lambda w: product(chat_conj, w))
+        return (lambda v: product(v, False)), (lambda w: product(w, True))
 
-    return _power_iterate(bind, 1, n, 16 * n, is_complex, tol, restarts, max_iter,
-                          "Toeplitz power iteration")[0]
+    iterate = functools.partial(_power_iterate, bind, 1, n, 16 * n, is_complex, tol,
+                                restarts, max_iter, "Toeplitz power iteration")
+    if per_block > 1:
+        return iterate()[0]
+    # imported here: it pulls in `logging`, about 10 ms on every start of the CLI
+    import concurrent.futures
+    with concurrent.futures.ThreadPoolExecutor(1) as worker:
+        future = worker.submit(iterate)
+        try:
+            return future.result()[0]
+        except KeyboardInterrupt:
+            # the executor's exit joins the worker: stop it at its next transform
+            interrupted.set()
+            raise
