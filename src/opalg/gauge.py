@@ -113,7 +113,7 @@ def fejer(*, dim: int = 32, nodes: int | None = None, nmax: int = 64,
     s = shift.polynomial_in(t, shift.random_polynomial(t, seed, 0, degree))
     powers = t.powers(dim - 1)
     series = fourier_coefficients(s, grid, powers)
-    norms = operator_norm(np.stack(powers))
+    norms = operator_norm(powers)
     coeff_mass = sum(abs(c) * nrm for c, nrm in zip(series, norms))
     params = {"dim": dim, "nodes": nodes, "nmax": nmax, "weights": weights}
     rep = ExperimentReport("fejer", {k: v for k, v in params.items() if v is not None})
@@ -130,15 +130,14 @@ def fejer(*, dim: int = 32, nodes: int | None = None, nmax: int = 64,
     return rep
 
 
-def certify_no_gauge_linear_dependence(powers, rel_tol: float = 1e-10,
-                                       norm_floor: float = 1e-10) -> GaugeWitness | None:
+def certify_no_gauge_linear_dependence(powers) -> GaugeWitness | None:
     """Search T^1..T^n for a minimal linear dependence with nonzero top power.
 
     Vectorizes the powers, scans prefixes for numerical rank deficiency
-    (smallest singular value below rel_tol times the largest, decided by the
-    Jacobi oracle), and -- if the top power of the minimal dependence is
-    itself nonzero -- returns the dependence as a witness.  A dependence whose
-    top power already vanishes proves nothing and yields None.
+    (smallest singular value below 1e-10 times the largest, decided by the
+    Jacobi oracle), and -- if the top power of the minimal dependence has
+    norm above 1e-10 -- returns the dependence as a witness.  A dependence
+    whose top power already vanishes proves nothing and yields None.
     """
     if len(powers) < 2:
         raise ValueError("need at least the powers T^1, T^2")
@@ -146,10 +145,10 @@ def certify_no_gauge_linear_dependence(powers, rel_tol: float = 1e-10,
     for m in range(2, len(powers) + 1):
         stacked = np.column_stack(vecs[:m])
         sigmas, v = jacobi_svd(stacked)
-        if sigmas[0] == 0.0 or sigmas[-1] >= rel_tol * sigmas[0]:
+        if sigmas[0] == 0.0 or sigmas[-1] >= 1e-10 * sigmas[0]:
             continue
         top_norm = operator_norm(powers[m - 1])
-        if top_norm <= norm_floor:
+        if top_norm <= 1e-10:
             return None
         coeffs = v[:, -1]
         combo = sum(c * np.asarray(p) for c, p in zip(coeffs, powers[:m]))
@@ -164,13 +163,14 @@ def certify_no_gauge_linear_dependence(powers, rel_tol: float = 1e-10,
     return None
 
 
-def certify_no_gauge_norm_scan(coeffs, powers, grid: CircleGrid, margin: float,
-                               norm_tol: float = 1e-14) -> GaugeWitness | None:
+def certify_no_gauge_norm_scan(coeffs, powers, grid: CircleGrid,
+                               margin: float) -> GaugeWitness | None:
     """Scan r(lam) = ||sum_j lam^j a_j T^j|| over the grid.
 
     An isometric circle action sending T to lam*T would force r to be
     constant; any ratio r(lam)/r(1) off 1 beyond the margin is a witness
     against it.  Returns the maximizing phase, or None if the scan is flat.
+    The norms are taken at tolerance max(1e-14, 2 eps N).
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.ndim != 1 or len(coeffs) != len(powers):
@@ -179,7 +179,7 @@ def certify_no_gauge_norm_scan(coeffs, powers, grid: CircleGrid, margin: float,
         raise ValueError("all coefficients vanish")
     mats = [np.asarray(p) for p in powers]
     n = mats[0].shape[0]
-    tol = max(norm_tol, 2.0 * np.finfo(float).eps * n)
+    tol = max(1e-14, 2.0 * np.finfo(float).eps * n)
     js = np.arange(1, len(coeffs) + 1)
     scan = np.stack([sum((lam**j * c) * t for j, c, t in zip(js, coeffs, mats))
                      for lam in grid.nodes])

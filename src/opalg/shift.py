@@ -113,12 +113,10 @@ class ShiftTruncation:
     weights: WeightSequence
     dim: int
 
-    def powers(self, d: int) -> list:
-        """[T^1, ..., T^d] as plain arrays; T^k is the zero matrix from k = N on."""
-        out = [np.zeros((self.dim, self.dim), dtype=complex) for _ in range(d)]
-        for p, (cells, band) in zip(out, _bands(self, d)):
-            p.flat[cells] = band
-        return out
+    def powers(self, d: int) -> np.ndarray:
+        """T^1, ..., T^d as a (d, N, N) stack, the polynomials of the unit
+        coefficient vectors; T^k is the zero matrix from k = N on."""
+        return polynomial_in(self, np.eye(d))
 
 
 def build_shift(weights: WeightSequence, n: int) -> ShiftTruncation:
@@ -241,12 +239,15 @@ def inequivalence(*, nmax: int = 3) -> ExperimentReport:
 def quasinilpotence(*, nmax: int = 8, weights: str = HARMONIC) -> ExperimentReport:
     """beta_n = sup_{k <= 64} |a_{k+1} ... a_{k+n}|^(1/n) for n = 1..nmax.
 
-    beta_n -> 0 characterizes quasinilpotent weighted shifts; the profile is
-    expected to decrease for the harmonic and geometric families and to be
-    identically 1 for unit weights.  Products accumulate in the log domain.
+    beta_n -> 0 characterizes quasinilpotent weighted shifts.  Requires
+    decreasing weights: the sup is then reached at k = 0, so beta_n is the
+    geometric mean of |a_1| ... |a_n| and the profile cannot increase; for
+    unit weights it is identically 1.  Products accumulate in the log domain.
     """
     k_max = 64
     w = parse_weight_spec(weights, k_max + nmax + 1)
+    if not w.monotone_decreasing:
+        raise ValueError("hypothesis violated: weights are not decreasing")
     vals = w.materialized(k_max + nmax + 1)
     logs = np.log(np.abs(vals))
     cums = np.concatenate([[0.0], np.cumsum(logs)])
@@ -258,12 +259,12 @@ def quasinilpotence(*, nmax: int = 8, weights: str = HARMONIC) -> ExperimentRepo
     rep = ExperimentReport("quasinilpotence", {"nmax": nmax, "weights": weights})
     for n, beta in enumerate(betas, start=1):
         rep.add(f"beta_{n:02d}", beta)
-    if w.family in (HARMONIC, GEOMETRIC):
-        decreasing = all(betas[i + 1] < betas[i] + 1e-15 for i in range(len(betas) - 1))
-        rep.check("profile_decreasing", decreasing)
-    elif w.family == ONES:
+    if w.family == ONES:
         rep.check("profile_constant_one",
                   all(abs(b - 1.0) < 1e-12 for b in betas))
+    else:
+        decreasing = all(betas[i + 1] < betas[i] + 1e-15 for i in range(len(betas) - 1))
+        rep.check("profile_decreasing", decreasing)
     return rep
 
 

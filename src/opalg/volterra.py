@@ -27,7 +27,6 @@ reads, with its defaults.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -222,8 +221,10 @@ def parse_kernel_spec(spec: str, n: int) -> SampledKernel:
     if spec.startswith("step:"):
         pieces = []
         for chunk in spec.split(":", 1)[1].split(";"):
-            a, b, v = chunk.split(",")
-            pieces.append((float(a), float(b), float(v)))
+            piece = chunk.split(",")
+            if len(piece) != 3:
+                raise ValueError(f"step piece {chunk!r} is not of the form a,b,v")
+            pieces.append(tuple(float(x) for x in piece))
         return kernel_step(pieces, n)
     raise ValueError(f"unknown kernel spec {spec!r}")
 
@@ -232,8 +233,6 @@ def parse_kernel_spec(spec: str, n: int) -> SampledKernel:
 class VolterraDiscretization:
     """Lower-triangular Toeplitz matrix with the kernel cells down column 0."""
 
-    kernel: SampledKernel
-    dim: int
     matrix: ComplexMatrix
 
 
@@ -251,7 +250,7 @@ def build_vf(f: SampledKernel, n: int) -> VolterraDiscretization:
         raise ValueError(
             f"dim {n} exceeds the dense guard {MAX_DENSE_DIM}; "
             "use sigma_max on the kernel's cells")
-    return VolterraDiscretization(f, n, ComplexMatrix(_toeplitz(f.mu)))
+    return VolterraDiscretization(ComplexMatrix(_toeplitz(f.mu)))
 
 
 def sigma_max(mu, tol: float | None = None) -> float:
@@ -277,25 +276,6 @@ def hs_norm(f: SampledKernel) -> float:
     return math.sqrt(float(np.sum(sharp)))
 
 
-def power_kernel_check(p: int, n: int) -> ExperimentReport:
-    """Compare the (p+1)-st power of plain integration, a chain of p cell
-    convolutions, against the direct discretization of its closed-form kernel
-    u^p / p!; the gap must shrink when the grid is refined."""
-    if p > 8:
-        raise ValueError("power capped at 8")
-    rep = ExperimentReport("power-kernel", {"p": p, "dim": n})
-    errs = {}
-    for dim in (n, 2 * n):
-        power = functools.reduce(cauchy, [kernel_constant(1.0, dim).mu] * (p + 1))
-        errs[dim] = sigma_max(power - kernel_power(p, dim).mu)
-        rep.add(f"error_dim_{dim}", errs[dim])
-    if p == 0:
-        rep.check("schemes_identical", errs[n] < 1e-15)
-    else:
-        rep.check("error_shrinks_when_refined", errs[2 * n] < errs[n])
-    return rep
-
-
 def v2_exact():
     """Norm of the square of plain integration, via its transcendental equation.
 
@@ -309,8 +289,8 @@ def v2_exact():
         lo += 0.1
         if lo > 100.0:
             raise RuntimeError("no sign change found in the scan")
-    sol = find_root(f, (lo, lo + 0.1), 1e-12)
-    return sol.root, sol.root ** (-2)
+    eta = find_root(f, (lo, lo + 0.1), 1e-12)
+    return eta, eta ** (-2)
 
 
 def v2norm(*, dim: int = 1000) -> ExperimentReport:

@@ -240,7 +240,7 @@ def test_criterion_11_unbounded_witness_as_stated():
         dims, sigmas, [volterra.kernel_singular32(n).mu for n in dims])
     # Negative control: the bounded kernel 1 has sigma_N -> 2/pi, and must fail.
     control = [volterra.kernel_constant(1.0, n) for n in dims]
-    control_sigmas = [operator_norm(volterra.build_vf(f, n).matrix)
+    control_sigmas = [operator_norm(volterra.build_vf(f, n).matrix.entries)
                       for f, n in zip(control, dims)]
     control_ok, bounded = sqrt_growth_check(dims, control_sigmas, [f.mu for f in control])
     ok = witness_ok and not control_ok

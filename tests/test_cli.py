@@ -52,6 +52,17 @@ class TestValidation:
         assert main(["quasinilpotence", "--weights", "geometric:0.5", "--nmax", "1100"]) == 2
         assert "at most 1075 geometric weights" in capsys.readouterr().err
 
+    def test_malformed_step_piece_named(self, capsys):
+        assert main(["nilpotent-density", "--kernel", "step:0,0.5"]) == 2
+        assert "step piece '0,0.5' is not of the form a,b,v" in capsys.readouterr().err
+
+    def test_quasinilpotence_increasing_list_rejected(self, capsys):
+        # beta_n reads the sup at k = 0 only for decreasing weights; an
+        # increasing list would pass vacuously with no flag at all
+        spec = "list:" + ",".join(str(k + 1) for k in range(80))
+        assert main(["quasinilpotence", "--weights", spec]) == 2
+        assert "hypothesis violated: weights are not decreasing" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["v2norm", "unbounded-witness"])
     @pytest.mark.parametrize("dim", ["2", "3"])
     def test_ladder_dim_below_four_rejected(self, name, dim, capsys):

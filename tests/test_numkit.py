@@ -174,25 +174,11 @@ def svd_inputs(draw):
 class TestComplexMatrix:
     def test_dense_accepts_anything_square(self):
         m = ComplexMatrix(np.ones((3, 3)))
-        assert m.dim == 3
+        assert m.entries.shape == (3, 3)
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             ComplexMatrix(np.ones((2, 3)))
-
-    def test_array_interface(self):
-        m = ComplexMatrix(np.eye(2))
-        assert np.allclose(np.asarray(m), np.eye(2))
-
-    def test_array_copy_is_honoured(self):
-        m = ComplexMatrix(volterra_matrix(4))
-        c = np.array(m)
-        c[0, 3] = 7.0
-        assert m.entries[0, 3] == 0.0
-        assert np.asarray(m) is m.entries
-        assert not np.shares_memory(np.array(m, dtype=complex), m.entries)
-        with pytest.raises(ValueError):
-            np.asarray(m, dtype=complex, copy=False)
 
 
 @st.composite
@@ -495,21 +481,19 @@ class TestJacobiSvd:
 
 class TestFindRoot:
     def test_cosine(self):
-        sol = find_root(math.cos, (1.0, 2.0), 1e-12)
-        assert sol.root == pytest.approx(math.pi / 2, abs=1e-12)
+        root = find_root(math.cos, (1.0, 2.0), 1e-12)
+        assert root == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_beam_equation(self):
         # least positive root of cosh(x)cos(x) + 1, the classic clamped-beam value
         f = lambda x: math.cosh(x) * math.cos(x) + 1.0
-        sol = find_root(f, (1.0, 3.0), 1e-12)
-        assert sol.root == pytest.approx(1.8751, abs=5e-5)
-        assert abs(sol.residual) < 1e-10
-        assert sol.lo < sol.root < sol.hi
+        root = find_root(f, (1.0, 3.0), 1e-12)
+        assert root == pytest.approx(1.8751, abs=5e-5)
+        assert abs(f(root)) < 1e-10
+        assert 1.0 < root < 3.0
 
     def test_linear(self):
-        sol = find_root(lambda x: x, (-1.0, 1.0), 1e-12)
-        assert sol.root == 0.0
-        assert sol.residual == 0.0
+        assert find_root(lambda x: x, (-1.0, 1.0), 1e-12) == 0.0
 
     def test_no_sign_change(self):
         with pytest.raises(ValueError):
@@ -528,8 +512,7 @@ class TestFindRoot:
         ]
         tol = 1e-12
         for f, bracket, slope in problems:
-            sol = find_root(f, bracket, tol)
-            assert abs(sol.residual) <= 10.0 * tol * max(1.0, slope)
+            assert abs(f(find_root(f, bracket, tol))) <= 10.0 * tol * max(1.0, slope)
 
 
 class TestToeplitzNorm:

@@ -102,15 +102,21 @@ def _polar(modulus, phase):
 
 @st.composite
 def shift_inputs(draw, min_dim=2):
-    """(dim, family, weights) over the four weight families."""
+    """(dim, family, weights) over the three named weight families and two
+    kinds of `list:` weights, complex ("list") and signed real ("signed")."""
     n = draw(st.integers(min_dim, 64))
-    family = draw(st.sampled_from(["harmonic", "geometric", "ones", "list"]))
+    family = draw(st.sampled_from(["harmonic", "geometric", "ones", "list", "signed"]))
     if family == "harmonic":
         w = harmonic_weights(n)
     elif family == "geometric":
         w = geometric_weights(draw(st.floats(0.05, 0.95)), n)
     elif family == "ones":
         w = ones_weights(n)
+    elif family == "signed":
+        vals = draw(st.lists(st.builds(lambda r, sign: sign * r, st.floats(0.5, 2.0),
+                                       st.sampled_from([1.0, -1.0])),
+                             min_size=n - 1, max_size=n - 1))
+        w = parse_weight_spec("list:" + ",".join(repr(v) for v in vals), n)
     else:
         # genuinely complex weights of modulus in [1/2, 2], through the spec
         vals = draw(st.lists(_polar(st.floats(0.5, 2.0), st.floats(-math.pi, math.pi)),
@@ -199,7 +205,7 @@ class TestBandLayout:
         assert all(not np.any(p) for p in powers[n - 1:])
         if family != "list":
             # real weights: the same products in the same order, exact zeros
-            # elsewhere, so the two routes agree bit for bit
+            # (of either sign) elsewhere, so the two routes agree bit for bit
             assert all(np.array_equal(p, q) for p, q in zip(powers, chain))
             assert np.array_equal(poly, dense)
             return
@@ -381,6 +387,14 @@ class TestQuasinilpotence:
         rep = quasinilpotence(nmax=4, weights="harmonic")
         assert rep.passed
         assert rep.value("beta_04") < rep.value("beta_01")
+
+    def test_decreasing_list_checked(self):
+        # weights 1/(k+2): the sup sits at k = 0, so beta_n is the geometric
+        # mean of 1/3, ..., 1/(n+2), and the profile gets its flag
+        spec = "list:" + ",".join(repr(1.0 / (k + 2)) for k in range(80))
+        rep = quasinilpotence(weights=spec)
+        assert rep.flags == [("profile_decreasing", True)]
+        assert rep.value("beta_02") == pytest.approx(1.0 / math.sqrt(12.0), rel=1e-14)
 
 
 class TestNeumannFactor:
