@@ -76,11 +76,14 @@ def fourier_coefficients(a, grid: CircleGrid, powers) -> np.ndarray:
     if m < 2 * n:
         raise ValueError(f"grid must have at least 2N = {2 * n} nodes, got {m}")
     nodes = grid.nodes
-    conjugates = np.stack([gauge_conjugate(a, lam) for lam in nodes])
+    conjugates = np.empty((m, n, n), dtype=complex)
+    for out, lam in zip(conjugates, nodes):
+        out[...] = gauge_conjugate(a, lam)
     ks = np.arange(1, len(powers) + 1)
     # all quadratures at once: weights[k, m] = lam_m^(-k)
     weights = nodes[None, :] ** (-ks[:, None])
-    integrals = np.tensordot(weights, conjugates, axes=(1, 0)) / m
+    integrals = np.tensordot(weights, conjugates, axes=(1, 0))
+    integrals /= m  # in place: a second (d, N, N) array would set the peak
     coeffs = np.empty(len(powers), dtype=complex)
     for k, tk in zip(ks, powers):
         tk = np.asarray(tk).ravel()

@@ -1,6 +1,7 @@
 """Tests for the gauge-action machinery."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from opalg.gauge import (
     certify_no_gauge_linear_dependence,
     certify_no_gauge_norm_scan,
+    fejer,
     fejer_coefficients,
     fourier_coefficients,
     gauge_conjugate,
@@ -90,6 +92,24 @@ class TestFourierCoefficients:
         quad = fourier_coefficients(s, CircleGrid(16), harmonic8.powers(7))
         for k in range(1, 8):
             assert abs(quad[k - 1] - col[k - 1]) < 1e-12
+
+
+class TestFejerMemory:
+    def test_default_run_holds_each_conjugate_once(self):
+        fejer()  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            fejer()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # defaults: N = 32, M = 64 nodes, powers T^1..T^31.  Live at the peak:
+        # the (M, N, N) conjugates, the (31, N, N) powers and quadratures, and
+        # small arrays.  A list of the conjugates next to their stack, or a
+        # second quadrature array for the 1/M scaling, adds 1 MB or 0.5 MB.
+        conjugates = 64 * 32 * 32 * 16
+        stack = 31 * 32 * 32 * 16
+        assert peak <= conjugates + 2 * stack + 128 * 1024
 
 
 class TestFejerSum:

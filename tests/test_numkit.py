@@ -16,15 +16,18 @@ from opalg.numkit import (
     BLOCK_BYTES,
     ComplexMatrix,
     ConvergenceError,
+    _cholesky_succeeds,
     _round_robin,
     _row_norms,
+    _shift_diagonal,
+    certified_norm,
     find_root,
     jacobi_svd,
     operator_norm,
     svd_oracle,
     toeplitz_operator_norm,
 )
-from opalg.volterra import kernel_notell1
+from opalg.volterra import _toeplitz, kernel_constant, kernel_monomial, kernel_notell1
 
 
 def volterra_matrix(n):
@@ -338,6 +341,138 @@ class TestOperatorNorm:
     def test_small_gap_seed_411_against_oracle(self):
         a = seed_411_matrix()
         assert abs(operator_norm(a) - svd_oracle(a)) < 1e-9
+
+
+def titchmarsh_residual(n):
+    """The dense homomorphism residual of `volterra.titchmarsh`'s ladder: pi
+    minus the self-convolution of u^(-1/2), whose top singular values cluster."""
+    f = kernel_monomial(-0.5, n)
+    return _toeplitz(kernel_constant(math.pi, n).mu - numkit.cauchy(f.mu, f.mu))
+
+
+def certified_corpus():
+    """Seeded real and complex matrices of assorted sizes, with seed 411's."""
+    rng = np.random.default_rng(2026)
+    mats = [seed_411_matrix(), volterra_matrix(64)]
+    for n in (1, 2, 3, 8, 33, 90, 128):
+        mats.append(rng.standard_normal((n, n)))
+        mats.append(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return mats
+
+
+def lapack_norm(a):
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
+class TestCertifiedNorm:
+    @pytest.mark.parametrize("n", [120, 240, 256])
+    def test_titchmarsh_rungs_bracket_lapack(self, n):
+        # N = 256 is where default-tol power iteration hits its cap
+        a = titchmarsh_residual(n)
+        lower, upper = certified_norm(a)
+        sigma = lapack_norm(a)
+        assert upper <= lower * (1.0 + 1e-8)
+        assert upper >= sigma
+        assert lower <= sigma * (1.0 + 1e-14)
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    def test_corpus_brackets_lapack(self, monkeypatch, tol):
+        monkeypatch.setattr(numkit, "CERTIFIED_TOL", tol)
+        for a in certified_corpus():
+            lower, upper = certified_norm(a)
+            sigma = lapack_norm(a)
+            assert upper <= lower * (1.0 + tol)
+            assert upper >= sigma
+            assert lower <= sigma * (1.0 + 1e-14)
+
+    def test_seed_411_closes_on_lapack(self, monkeypatch):
+        # the matrix of operator_norm's strict xfail, which stays as it is
+        monkeypatch.setattr(numkit, "CERTIFIED_TOL", 1e-10)
+        a = seed_411_matrix()
+        lower, _ = certified_norm(a)
+        assert abs(lower - lapack_norm(a)) <= 1e-10 * lower
+
+    @staticmethod
+    def certifies(a, t):
+        """The certificate `certified_norm` tries at t, on a fresh buffer."""
+        buffer = a.conj().T @ a
+        gram_diagonal = buffer.diagonal().real.copy()
+        np.negative(buffer, out=buffer)
+        _shift_diagonal(buffer, gram_diagonal, t)
+        return _cholesky_succeeds(buffer)
+
+    def test_shift_below_the_norm_is_never_certified(self):
+        # and a shift well above it is, so the check is not vacuous
+        for a in certified_corpus() + [titchmarsh_residual(n) for n in (120, 240)]:
+            sigma = lapack_norm(a)
+            assert not self.certifies(a, sigma * (1.0 - 1e-12))
+            assert self.certifies(a, sigma * (1.0 + 1e-8))
+
+    def test_shift_is_the_derived_one(self):
+        # with k = (N + 2)^2 eps, Cholesky of (t^2 (1 - k)) I - A*A must fail at
+        # t = sigma (1 + k/4), where t^2 (1 - k) ~ sigma^2 (1 - k/2), and succeed
+        # at t = sigma (1 + 3k/4), where it is ~ sigma^2 (1 + k/2): an unshifted
+        # or a doubled shift fails one of the two
+        for a in certified_corpus() + [titchmarsh_residual(n) for n in (120, 240)]:
+            sigma = lapack_norm(a)
+            k = (a.shape[0] + 2) ** 2 * np.finfo(float).eps
+            assert not self.certifies(a, sigma * (1.0 + k / 4.0))
+            assert self.certifies(a, sigma * (1.0 + 0.75 * k))
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_matrix(self, n, dtype):
+        assert certified_norm(np.zeros((n, n), dtype=dtype)) == (0.0, 0.0)
+
+    def test_tol_below_resolution_rejected(self, monkeypatch):
+        # the shift (N + 2)^2 eps t^2 cannot resolve a tol below 8 (N + 2)^2 eps
+        a = titchmarsh_residual(120)
+        resolution = 8.0 * 122**2 * np.finfo(float).eps
+        monkeypatch.setattr(numkit, "CERTIFIED_TOL", 0.9 * resolution)
+        with pytest.raises(ValueError, match="resolution"):
+            certified_norm(a)
+        monkeypatch.setattr(numkit, "CERTIFIED_TOL", resolution)
+        lower, upper = certified_norm(a)
+        assert upper <= lower * (1.0 + resolution)
+
+    def test_largest_resolved_dim(self):
+        # 8 (N + 2)^2 eps <= CERTIFIED_TOL = 1e-8 holds up to N = 2370; a zero
+        # matrix (a broadcast view, so nothing N x N is stored) passes the
+        # size check and returns before any arithmetic
+        assert certified_norm(np.broadcast_to(0.0, (2370, 2370))) == (0.0, 0.0)
+        with pytest.raises(ValueError, match="resolution"):
+            certified_norm(np.broadcast_to(0.0, (2371, 2371)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int64, np.int8, bool])
+    def test_narrow_dtypes_are_certified_in_double(self, dtype):
+        # single precision would round the Gram matrix and the shift far above
+        # the shift's size, and an integer buffer cannot take it at all; the
+        # values of all these dtypes are exact in float64 or complex128
+        rng = np.random.default_rng(5)
+        a = rng.integers(-3, 4, (40, 40)).astype(dtype)
+        if np.iscomplexobj(a):
+            a += 1j * rng.standard_normal((40, 40)).astype(dtype)
+        sigma = lapack_norm(a.astype(complex))
+        lower, upper = certified_norm(a)
+        assert upper <= lower * (1.0 + numkit.CERTIFIED_TOL)
+        assert upper >= sigma
+        assert lower <= sigma * (1.0 + 1e-14)
+
+    def test_rejects_non_square_non_finite_and_wide_dtypes(self):
+        with pytest.raises(ValueError, match="square"):
+            certified_norm(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="NaN"):
+            certified_norm(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="float64 or complex128"):
+            certified_norm(np.eye(2, dtype=np.longdouble))
+        with pytest.raises(ValueError, match="float64 or complex128"):
+            certified_norm(np.eye(2, dtype=object))
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(numkit, "INVERSE_ITERATION_CAP", 2)
+        with pytest.raises(ConvergenceError) as info:
+            certified_norm(titchmarsh_residual(120))
+        assert 0.0 < info.value.last_value <= lapack_norm(titchmarsh_residual(120))
 
 
 class TestJacobiSvd:

@@ -30,6 +30,7 @@ from opalg.volterra import (
     nilpotent_approximation,
     parse_kernel_spec,
     sigma_max,
+    titchmarsh,
     titchmarsh_alpha,
     unbounded_witness,
     v2_exact,
@@ -450,6 +451,16 @@ class TestTitchmarsh:
         with pytest.raises(ValueError, match="not numerically zero"):
             titchmarsh_alpha(f, f)
 
+    def test_dense_ladder_rungs_match_lapack(self):
+        # the default ladder's N = 120 and 240 rungs, where power iteration at
+        # tol 1e-8 stopped 7.9e-6 and 2.0e-5 short in the residual's clustered
+        # top singular values, are certified and land on LAPACK's norm
+        rep = titchmarsh()
+        for n in (120, 240):
+            _, dense = homomorphism_residual(n)
+            sigma = np.linalg.svd(dense, compute_uv=False)[0]
+            assert abs(rep.value(f"homomorphism_error_dim_{n}") - sigma) <= 1e-12 * sigma
+
 
 class TestMuntzDemo:
     def test_degree_two_hits_equioscillation_floor(self):
@@ -577,16 +588,26 @@ class TestSigmaMax:
     def test_branch_matches_dense_power_iteration(self, monkeypatch, n, column):
         build, tol = self.COLUMNS[column]
         mu, dense = build(n)
-        want = operator_norm(dense, tol=tol)
+        dense_branch = n <= SIGMA_MAX_DENSE_DIM
+        if dense_branch and tol is not None:
+            # with a tol a dense grid is certified, so it lands on LAPACK's norm
+            want = np.linalg.svd(dense, compute_uv=False)[0]
+        else:
+            want = operator_norm(dense, tol=tol)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("wrong sigma_max branch")
 
-        dense_branch = n <= SIGMA_MAX_DENSE_DIM
         monkeypatch.setattr(volterra, "toeplitz_operator_norm" if dense_branch
                             else "operator_norm", forbidden)
         got = sigma_max(mu, tol=tol)
         assert abs(got - want) <= 1e-12 * want
+
+    def test_dense_tol_below_certified_width_rejected(self):
+        mu, _ = homomorphism_residual(64)
+        with pytest.raises(ValueError, match="certified"):
+            sigma_max(mu, tol=1e-9)
+        assert sigma_max(mu, tol=1e-8) > 0.0
 
 
 class TestSchemeInvariants:
