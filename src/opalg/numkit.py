@@ -38,6 +38,17 @@ INVERSE_ITERATION_CAP = 100
 # Relative width at which `certified_norm` closes its bracket.
 CERTIFIED_TOL = 1e-8
 
+# Longest piece of a row `_row_norms` hands to one BLAS dot product: OpenBLAS
+# splits a dot product of more than 10,000 elements across its threads, and
+# the split changes the bits with the thread count.
+_DOT_CHUNK = 8192
+
+# `toeplitz_operator_norm` takes the run product while its element work
+# sum_r (N - s_r) is below this multiple of L log2 L, an FFT product's cost at
+# transform length L.  The measured break-even ratio (CHANGES.md) is 0.21-0.28
+# at N = 1024, 0.5-1.0 at N = 4096 and above 0.77 from N = 2^14 on.
+_RUN_CROSSOVER = 0.25
+
 
 class ConvergenceError(RuntimeError):
     """An iterative kernel hit its iteration cap.
@@ -86,14 +97,24 @@ def _validate_finite(a: np.ndarray):
 
 
 def _row_norms(x: np.ndarray) -> list:
-    """Euclidean norm of each row of a 2-D array, as a list of floats, bit for
-    bit `np.linalg.norm` of that row, without its argument dispatch (which
-    costs as much as the dot product on small vectors).  `np.vecdot` makes
-    the same BLAS dot per row as that formula; a block with strided rows is
-    first copied to unit stride, as `np.linalg.norm`'s ravel copies a strided
-    vector, because BLAS sums a strided vector in another order."""
+    """Euclidean norm of each row of a 2-D array, as a list of floats.  A row
+    of at most _DOT_CHUNK entries gets the bits of `np.linalg.norm`, without
+    its argument dispatch (which costs as much as the dot product on small
+    vectors): `np.vecdot` makes the same BLAS dot per row as that formula.  A
+    longer row is summed as `np.vecdot`s of _DOT_CHUNK-entry pieces added in
+    order (real parts first), so its bits do not depend on the BLAS thread
+    count.  A block with strided rows is first copied to unit stride, as
+    `np.linalg.norm`'s ravel copies a strided vector, because BLAS sums a
+    strided vector in another order."""
     if x.strides[-1] != x.itemsize:
         x = np.ascontiguousarray(x)
+    if x.shape[-1] > _DOT_CHUNK:
+        squares = np.zeros(x.shape[:-1])
+        for part in (x.real, x.imag) if x.dtype.kind == "c" else (x,):
+            for lo in range(0, x.shape[-1], _DOT_CHUNK):
+                piece = part[..., lo:lo + _DOT_CHUNK]
+                squares += np.vecdot(piece, piece)
+        return np.sqrt(squares).tolist()
     if x.dtype.kind == "c":
         re, im = x.real, x.imag
         return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)).tolist()
@@ -523,34 +544,121 @@ def find_root(f, bracket, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _runs(col: np.ndarray, length: int):
+    """The constant runs of a Toeplitz column as (starts, jumps), two lists
+    with col = sum_r jumps[r] 1[i >= starts[r]]; None when the run product
+    would cost more than an FFT product of `length` points (_RUN_CROSSOVER)."""
+    jumps = np.diff(col, prepend=0)
+    starts = np.flatnonzero(jumps)
+    work = col.size * len(starts) - int(starts.sum())
+    if work >= _RUN_CROSSOVER * length * (length.bit_length() - 1):
+        return None
+    return starts.tolist(), jumps[starts].tolist()
+
+
+def _run_bind(starts: list, jumps: list, n: int, rows: int, dtype):
+    """`_power_iterate`'s `bind` for the run product of `toeplitz_operator_norm`
+    on blocks of at most `rows` rows; every buffer is allocated here, once."""
+    width = math.isqrt(n)
+    blocks = -(-n // width)
+    sums = np.zeros((rows, blocks * width), dtype=dtype)
+    totals = np.empty((rows, blocks - 1), dtype=dtype)
+    out = np.empty((rows, n), dtype=dtype)
+    term = np.empty((rows, n), dtype=dtype)
+    adjoint_jumps = np.conj(jumps).tolist()
+
+    def bind(ops):
+        k = len(ops)
+        x, tot, y, t = sums[:k], totals[:k], out[:k], term[:k]
+        blocked = x.reshape(k, blocks, width)
+
+        def product(v, adjoint):
+            x[:, :n] = v[:, ::-1] if adjoint else v
+            # two-level prefix sums; the padding after entry n changes no entry before it
+            np.cumsum(blocked, axis=2, out=blocked)
+            np.cumsum(blocked[:, :-1, -1], axis=1, out=tot)
+            # one scalar add per block: a broadcast add would allocate a buffer
+            for row, offsets in zip(blocked, tot):
+                for block, offset in zip(row[1:], offsets):
+                    block += offset
+            y.fill(0.0)
+            if adjoint:
+                # suffix sums R = reversed prefix sums; y[j] += conj(d) R[j + s]
+                r = x[:, n - 1::-1]
+                for start, d in zip(starts, adjoint_jumps):
+                    m = n - start
+                    np.multiply(r[:, start:], d, out=t[:, :m])
+                    np.add(y[:, :m], t[:, :m], out=y[:, :m])
+            else:
+                for start, d in zip(starts, jumps):
+                    m = n - start
+                    np.multiply(x[:, :m], d, out=t[:, :m])
+                    np.add(y[:, start:], t[:, :m], out=y[:, start:])
+            return y
+
+        return (lambda v: product(v, False)), (lambda w: product(w, True))
+
+    return bind
+
+
 def toeplitz_operator_norm(first_column, tol: float | None = None, restarts: int = 3,
                            max_iter: int = POWER_ITERATION_CAP) -> float:
     """Largest singular value of the lower-triangular Toeplitz matrix with the
     given first column, without materialising it.
 
-    Matrix-vector products are causal convolutions evaluated by FFT at a
-    power-of-two length of at least 2N, so the cost per iteration is
-    O(N log N).  `volterra.sigma_max` uses it for every Volterra norm above
-    its dense crossover, and `notell1` on its 2^20 grid.  A real (or
-    integer) column stays float64 and uses the half-spectrum `rfft`/`irfft`
-    pair, and power iteration starts from the same real seeded vectors as
-    `operator_norm` on the dense real matrix.  A complex column uses
-    `fft`/`ifft` and complex starts.  The defaults of `tol` and `restarts`
-    are `operator_norm`'s.
+    `volterra.sigma_max` uses it for every Volterra norm above its dense
+    crossover, and `notell1` on its 2^20 grid.  Power iteration runs in
+    `_power_iterate` with `operator_norm`'s defaults of `tol` and `restarts`.
+    A real (or integer) column stays float64 and starts from the same real
+    seeded vectors as `operator_norm` on the dense real matrix; a complex
+    column uses complex starts.  Each product is a run product or an FFT
+    product, chosen once per call.
 
-    The spectrum of the column is computed once.  The restarts advance as
-    rows of blocks (see `_power_iterate`), a row counting 16N bytes, so from
-    N = 2^14 on a block is one restart.  Every product transforms the
-    block's rows into one reused (rows, .) spectrum buffer, multiplies it in
-    place and transforms back into one reused signal buffer, so a power step
-    allocates nothing; `matvec` and `rmatvec` return views of the signal
-    buffer.  The adjoint's factor conj(Ĉ) is not stored: conj(Ĉ) W is
-    computed as conj(Ĉ conj(W)) with in-place conjugates, the same bits but
-    for the sign of an exact zero.  Batched transforms along the last axis
-    give each row the bits of a one-row transform.
+    Run product.  One `np.diff` writes the column as c = sum_r d_r 1[i >= s_r],
+    with R runs starting at s_r and jumps d_r, so the matrix is
+    sum_r d_r tau_{s_r} P, with P the prefix-sum matrix and tau_s the
+    truncated shift by s: the grid form of a step kernel's
+    V_f = sum_r d_r tau_{s_r} V.  Then (A v)_i = sum_r d_r S_{i - s_r}, with S
+    the prefix sums of v, and (A* w)_j = sum_r conj(d_r) R_{j + s_r}, with R
+    the suffix sums of w (prefix sums of w reversed).  A product costs the
+    sums plus sum_r (N - s_r) element work, and is taken while that work is
+    below _RUN_CROSSOVER * L log2 L, for the FFT length L below: `notell1` at
+    N = 2^20 has 38 runs and about 2N of work, and a product takes about
+    14 ms against 150 ms by FFT.  The sums run in two levels: the row is cut
+    into nb blocks of width b = isqrt(N), each block is summed in order, and
+    the running sum of the totals of the blocks before it is added to it.
+    With u = eps/2 and gamma_k = k u / (1 - k u), every entry obeys
+    |fl(A v) - A v| <= gamma_k (T |v|) with k = b + nb + R + 1, where T is the
+    Toeplitz matrix with column sum_r |d_r| 1[i >= s_r] (Higham 2002, ch. 3
+    and 4): an entry of v passes at most b - 1 roundings in its block,
+    nb - 2 in the running sum of the totals and one where that sum is added,
+    then one in its jump, one in the product (a complex product's
+    sqrt(2) gamma_2 takes two) and R - 1 in the sum over runs.  The adjoint
+    obeys the same bound with T*.  A single `np.cumsum` has k about N + R.
+    On `notell1`'s converged iterate, a product is within 5.6e-16 of a
+    `np.longdouble` product in the 2-norm, the FFT's within 3.4e-16 and a
+    single cumsum's within 1.8e-14.  The sums, the output and one term
+    buffer are allocated once, so a power step allocates nothing; `matvec`
+    and `rmatvec` return views of the output buffer.  The run product stays
+    on the calling thread: it makes no pocketfft scratch, the reason for the
+    worker below.
 
-    A block of one row runs on one worker thread, which the call starts and
-    joins; the restarts stay sequential, `.result()` re-raises errors
+    FFT product.  A causal convolution at a power-of-two length L of at
+    least 2N, O(N log N) per product: a real column takes the half-spectrum
+    `rfft`/`irfft` pair, a complex one `fft`/`ifft`.  The spectrum of the
+    column is computed once.  The restarts advance as rows of blocks (see
+    `_power_iterate`), a row counting 16N bytes, so from N = 2^14 on a block
+    is one restart.  Every product transforms the block's rows into one
+    reused (rows, .) spectrum buffer, multiplies it in place and transforms
+    back into one reused signal buffer, so a power step allocates nothing;
+    `matvec` and `rmatvec` return views of the signal buffer.  The adjoint's
+    factor conj(Ĉ) is not stored: conj(Ĉ) W is computed as conj(Ĉ conj(W))
+    with in-place conjugates, the same bits but for the sign of an exact
+    zero.  Batched transforms along the last axis give each row the bits of
+    a one-row transform.
+
+    A block of one FFT row runs on one worker thread, which the call starts
+    and joins; the restarts stay sequential, `.result()` re-raises errors
     unchanged, and an interrupt stops the worker at its next transform.
     pocketfft's scratch for a transform of 2^21 points is about 32 MB, and
     glibc's main arena gives it back to the kernel after every transform and
@@ -575,11 +683,19 @@ def toeplitz_operator_norm(first_column, tol: float | None = None, restarts: int
     length = 1
     while length < 2 * n:
         length *= 2
+    per_block = _block_rows(16 * n)
+    rows = min(max(restarts, 1), per_block)  # the core rejects restarts < 1
+
+    def iterate(bind):
+        return _power_iterate(bind, 1, n, 16 * n, is_complex, tol, restarts, max_iter,
+                              "Toeplitz power iteration")[0]
+
+    runs = _runs(col, length)
+    if runs is not None:
+        return iterate(_run_bind(*runs, n, rows, col.dtype))
     forward, inverse = ((np.fft.fft, np.fft.ifft) if is_complex
                         else (np.fft.rfft, np.fft.irfft))
     chat = forward(col, length)
-    per_block = _block_rows(16 * n)
-    rows = min(max(restarts, 1), per_block)  # the core rejects restarts < 1
     spec = np.empty((rows, chat.size), dtype=chat.dtype)
     signal = np.empty((rows, length), dtype=col.dtype)
     interrupted = threading.Event()
@@ -602,16 +718,14 @@ def toeplitz_operator_norm(first_column, tol: float | None = None, restarts: int
 
         return (lambda v: product(v, False)), (lambda w: product(w, True))
 
-    iterate = functools.partial(_power_iterate, bind, 1, n, 16 * n, is_complex, tol,
-                                restarts, max_iter, "Toeplitz power iteration")
     if per_block > 1:
-        return iterate()[0]
+        return iterate(bind)
     # imported here: it pulls in `logging`, about 10 ms on every start of the CLI
     import concurrent.futures
     with concurrent.futures.ThreadPoolExecutor(1) as worker:
-        future = worker.submit(iterate)
+        future = worker.submit(iterate, bind)
         try:
-            return future.result()[0]
+            return future.result()
         except KeyboardInterrupt:
             # the executor's exit joins the worker: stop it at its next transform
             interrupted.set()

@@ -240,9 +240,13 @@ class VolterraDiscretization:
 
 
 def _toeplitz(mu: np.ndarray) -> np.ndarray:
-    """The lower-triangular Toeplitz matrix with first column mu."""
-    idx = np.subtract.outer(np.arange(len(mu)), np.arange(len(mu)))
-    return np.where(idx >= 0, mu[np.maximum(idx, 0)], 0.0)
+    """The lower-triangular Toeplitz matrix with first column mu, written
+    diagonal by diagonal into a zeroed matrix, the only N x N array made."""
+    n = len(mu)
+    t = np.zeros((n, n), dtype=np.result_type(mu, 0.0))
+    for k in range(n):
+        t.reshape(-1)[k * n::n + 1] = mu[k]  # the k-th diagonal below the main one
+    return t
 
 
 def build_vf(f: SampledKernel, n: int) -> VolterraDiscretization:

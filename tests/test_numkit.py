@@ -3,12 +3,15 @@
 import concurrent.futures
 import itertools
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from opalg import numkit
@@ -27,7 +30,8 @@ from opalg.numkit import (
     svd_oracle,
     toeplitz_operator_norm,
 )
-from opalg.volterra import _toeplitz, kernel_constant, kernel_monomial, kernel_notell1
+from opalg.volterra import (_toeplitz, kernel_constant, kernel_monomial, kernel_notell1,
+                            parse_kernel_spec)
 
 
 def volterra_matrix(n):
@@ -49,12 +53,14 @@ def seed_411_matrix():
 
 
 def _norm(x):
-    """The sequential oracle's vector norm: `np.linalg.norm`'s 1-D formula."""
+    """The sequential oracle's vector norm: `np.linalg.norm`'s 1-D formula on
+    pieces of at most 8192 entries, their squares added in order."""
     x = x.ravel(order="K")
-    if np.iscomplexobj(x):
-        re, im = x.real, x.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(x.dot(x))
+    squares = 0.0
+    for part in (x.real, x.imag) if np.iscomplexobj(x) else (x,):
+        for lo in range(0, x.size, 8192):
+            squares += part[lo:lo + 8192].dot(part[lo:lo + 8192])
+    return math.sqrt(squares)
 
 
 def sequential_power_iterate(matvec, rmatvec, n, complex_start, tol, restarts,
@@ -106,14 +112,58 @@ def sequential_operator_norm(a, tol=None, restarts=3, max_iter=100_000):
                                     "power iteration")
 
 
-def sequential_toeplitz_operator_norm(col, tol=None, restarts=3, max_iter=100_000):
-    n = col.size
-    if tol is None:
-        tol = max(1e-13, 4.0 * np.finfo(float).eps * n)
+def fft_length(n):
     length = 1
     while length < 2 * n:
         length *= 2
+    return length
+
+
+def run_prefix_sums(x):
+    """Two-level prefix sums of one vector, written out block by block: every
+    block is summed in order, then the running sum of the totals of the
+    blocks before it is added to it."""
+    s = x.copy()
+    width = math.isqrt(s.size)
+    blocks = [s[lo:lo + width] for lo in range(0, s.size, width)]
+    for block in blocks:
+        np.cumsum(block, out=block)
+    running = np.cumsum([block[-1] for block in blocks[:-1]])
+    for block, offset in zip(blocks[1:], running):
+        block += offset
+    return s
+
+
+def run_product(col, v, adjoint=False):
+    """The run product of `toeplitz_operator_norm` on one vector, with fresh
+    arrays: A v = sum_r d_r S[i - s_r], A* w = sum_r conj(d_r) R[j + s_r]."""
+    n = col.size
+    starts, jumps = numkit._runs(col, fft_length(n))
+    y = np.zeros(n, dtype=col.dtype)
+    if adjoint:
+        r = run_prefix_sums(v[::-1])[::-1]
+        for start, d in zip(starts, np.conj(jumps).tolist()):
+            y[:n - start] += r[start:] * d
+    else:
+        s = run_prefix_sums(v)
+        for start, d in zip(starts, jumps):
+            y[start:] += s[:n - start] * d
+    return y
+
+
+def sequential_toeplitz_operator_norm(col, tol=None, restarts=3, max_iter=100_000):
+    """One vector at a time; run products where `numkit._runs` takes them,
+    FFT products otherwise."""
+    n = col.size
+    if tol is None:
+        tol = max(1e-13, 4.0 * np.finfo(float).eps * n)
+    length = fft_length(n)
     is_complex = np.iscomplexobj(col)
+    if numkit._runs(col, length) is not None:
+        return sequential_power_iterate(lambda v: run_product(col, v),
+                                        lambda w: run_product(col, w, adjoint=True), n,
+                                        is_complex, tol, restarts, max_iter,
+                                        "Toeplitz power iteration")
     forward, inverse = ((np.fft.fft, np.fft.ifft) if is_complex
                         else (np.fft.rfft, np.fft.irfft))
     chat = forward(col, length)
@@ -157,6 +207,13 @@ def member(rng, kind, n, is_complex, column=False):
 
 
 kinds = st.sampled_from(["gauss", "zero", "rank1", "tiny"])
+
+
+def fft_column(n):
+    """The cells of u on a grid of n, all distinct: an FFT-path column."""
+    col = kernel_monomial(1.0, n).mu
+    assert numkit._runs(col, fft_length(n)) is None
+    return col
 
 
 @st.composite
@@ -214,6 +271,17 @@ class TestNorm:
     @given(norm_inputs())
     def test_same_bits_as_linalg_norm(self, x):
         assert _row_norms(x) == [float(np.linalg.norm(row)) for row in x]
+
+    def test_long_rows_do_not_depend_on_blas_threads(self):
+        # OpenBLAS splits a dot product of more than 10,000 entries across its
+        # threads, in an order that depends on their count
+        script = ("import numpy as np; from opalg.numkit import _row_norms; "
+                  "rng = np.random.default_rng(5); x = rng.standard_normal((8, 2**16)); "
+                  "print(_row_norms(x), _row_norms(x + 1j * rng.standard_normal(x.shape)))")
+        out = [subprocess.run([sys.executable, "-c", script], capture_output=True, check=True,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads}).stdout
+               for threads in ("1", "2")]
+        assert out[0] == out[1] and len(out[0]) > 0
 
 
 class TestOperatorNorm:
@@ -742,9 +810,9 @@ class TestToeplitzNorm:
     @pytest.mark.parametrize("n", [2**14, 2**15])
     @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
     def test_single_row_blocks_equal_sequential_oracle(self, n, is_complex):
-        # from N = 2^14 on a block is one row, and the core runs on a worker
-        # thread; a linear phase makes a unitarily similar complex column
-        col = kernel_notell1(12, n).mu
+        # from N = 2^14 on a block is one FFT row, and the core runs on a
+        # worker thread; a linear phase makes a unitarily similar complex column
+        col = fft_column(n)
         if is_complex:
             col = col * np.exp(0.5j * np.arange(n))
         kw = {"tol": 1e-10, "restarts": 2}
@@ -762,7 +830,7 @@ class TestToeplitzNorm:
             return core(*args)
 
         monkeypatch.setattr(numkit, "_power_iterate", recording)
-        toeplitz_operator_norm(kernel_notell1(12, n).mu, tol=1e-10)
+        toeplitz_operator_norm(fft_column(n), tol=1e-10)
         assert len(threads) == 1
         assert (threads[0] is not threading.current_thread()) == on_worker
 
@@ -777,11 +845,11 @@ class TestToeplitzNorm:
 
         monkeypatch.setattr(concurrent.futures.Future, "result", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            toeplitz_operator_norm(kernel_notell1(12, 2**14).mu)
+            toeplitz_operator_norm(fft_column(2**14))
         assert isinstance(futures[0].exception(), KeyboardInterrupt)
 
     def test_power_step_allocates_nothing(self):
-        mu = kernel_notell1(12, 2**15).mu
+        mu = fft_column(2**15)
         n = mu.size
         # fill the transform plan cache, which outlives the call
         toeplitz_operator_norm(mu, tol=1e-9, restarts=2)
@@ -798,3 +866,99 @@ class TestToeplitzNorm:
         # more 8n array per step does not fit.  The iterates are allocated on
         # the worker thread, so the lower bound shows tracemalloc counts them.
         assert 56 * n <= peak <= 56 * n + 4 * n
+
+    @pytest.mark.parametrize("n, is_complex, restarts", [
+        (1024, False, 3), (2**14, False, 2), (2**14, True, 2)],
+        ids=["real-1024-block", "real-16384", "complex-16384"])
+    def test_run_blocks_equal_one_vector_oracle(self, n, is_complex, restarts):
+        # notell1's column has a few dozen runs; a complex multiple keeps them
+        col = kernel_notell1(10, n).mu * ((0.6 + 0.8j) if is_complex else 1.0)
+        assert numkit._runs(col, fft_length(n)) is not None
+        kw = {"tol": 1e-10, "restarts": restarts}
+        assert toeplitz_operator_norm(col, **kw) == sequential_toeplitz_operator_norm(col, **kw)
+        assert outcome(lambda: toeplitz_operator_norm(col, max_iter=2, **kw)) == outcome(
+            lambda: sequential_toeplitz_operator_norm(col, max_iter=2, **kw))
+
+    def test_run_product_stays_on_the_calling_thread(self, monkeypatch):
+        threads = []
+        core = numkit._power_iterate
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return core(*args)
+
+        monkeypatch.setattr(numkit, "_power_iterate", recording)
+        toeplitz_operator_norm(kernel_notell1(12, 2**14).mu, tol=1e-10)
+        assert threads == [threading.current_thread()]
+
+    def test_run_power_step_allocates_nothing(self):
+        mu = kernel_notell1(12, 2**15).mu
+        n = mu.size
+        toeplitz_operator_norm(mu, tol=1e-9, restarts=2)
+        tracemalloc.start()
+        try:
+            toeplitz_operator_norm(mu, tol=1e-9, restarts=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A block is one row.  Live at once: the padded sums (blocks of
+        # isqrt(n) entries), the block totals, the output and term buffers
+        # (8n bytes each) and one unit iterate (8n bytes).  `np.diff` before
+        # them holds 16n bytes.  Half an iterate of slack covers the small
+        # transients; one more 8n array per step does not fit.
+        width = math.isqrt(n)
+        blocks = -(-n // width)
+        live = 8 * blocks * width + 8 * (blocks - 1) + 24 * n
+        assert live <= peak <= live + 4 * n
+
+    @pytest.mark.parametrize("kind", ["notell1", "complex", "step"])
+    def test_run_products_within_derived_bound(self, kind):
+        # |fl(A v) - A v| <= gamma_k T|v| entrywise, k = b + nb + R + 1 (see the
+        # docstring), against a np.longdouble product whose own error is at
+        # most (n + R + 2) eps_ld T|v|
+        n = 2**14
+        col = {"notell1": kernel_notell1(12, n).mu,
+               "complex": kernel_notell1(12, n).mu * (0.6 + 0.8j),
+               "step": parse_kernel_spec("step:0.1,0.35,1.5;0.35,0.6,-2;0.8,1,3", n).mu}[kind]
+        starts, jumps = numkit._runs(col, fft_length(n))
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal(n) + (1j * rng.standard_normal(n) if kind == "complex" else 0.0)
+        matvec, rmatvec = numkit._run_bind(starts, jumps, n, 1, col.dtype)([0])
+        wide = np.clongdouble if kind == "complex" else np.longdouble
+        c = col.astype(wide)
+        d = np.diff(c, prepend=0)[starts]
+        width = math.isqrt(n)
+        k = width + -(-n // width) + len(starts) + 1
+        u = np.finfo(float).eps / 2
+        gamma = k * u / (1 - k * u)
+        ref_err = (n + len(starts) + 2) * float(np.finfo(np.longdouble).eps)
+        for adjoint, product in ((False, matvec), (True, rmatvec)):
+            x = v[::-1] if adjoint else v
+            sums = np.cumsum(x.astype(wide))
+            abs_sums = np.cumsum(np.abs(x).astype(np.longdouble))
+            exact = np.zeros(n, dtype=wide)
+            scale = np.zeros(n, dtype=np.longdouble)
+            for start, jump in zip(starts, d):
+                exact[start:] += (np.conj(jump) if adjoint else jump) * sums[:n - start]
+                scale[start:] += np.abs(jump) * abs_sums[:n - start]
+            if adjoint:
+                exact, scale = exact[::-1], scale[::-1]
+            got = product(v[None])[0].astype(wide)
+            err = np.abs(got - exact)
+            assert np.all(err <= (gamma + ref_err) * scale)
+            assert np.max(err) > 0.0  # the bound is tested, not an exact match
+
+    @settings(deadline=None, derandomize=True, max_examples=25)
+    @given(st.integers(2, 256),
+           st.lists(st.integers(0, 64), min_size=2, max_size=6, unique=True),
+           st.lists(st.floats(-4.0, 4.0, allow_nan=False), min_size=3, max_size=3))
+    def test_step_kernels_match_dense(self, n, edges, values):
+        edges = sorted(edges)[:len(edges) // 2 * 2]
+        spec = "step:" + ";".join(f"{a / 64},{b / 64},{v}" for a, b, v in
+                                  zip(edges[::2], edges[1::2], values))
+        col = parse_kernel_spec(spec, n).mu
+        assume(numkit._runs(col, fft_length(n)) is not None)
+        # the same seeded starts and stopping rule: the two settle together
+        kw = {"tol": 1e-10, "restarts": 3}
+        assert toeplitz_operator_norm(col, **kw) == pytest.approx(
+            operator_norm(_toeplitz(col), **kw), rel=1e-10, abs=1e-300)

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,26 @@ class TestBuildVf:
             for j in range(i + 1):
                 want[i, j] = f.mu[i - j]
         assert np.array_equal(build_vf(f, n).matrix.entries, want)
+
+    @pytest.mark.parametrize("dtype", [float, complex, np.float32, int])
+    def test_toeplitz_holds_one_matrix(self, dtype):
+        # the bytes of the index-matrix formula it replaced, at a tracemalloc
+        # peak of one N x N array (that formula peaked at 3.1 of them)
+        n = 480
+        rng = np.random.default_rng(8)
+        mu = 100.0 * rng.standard_normal(n)
+        mu[::7] = -0.0
+        mu = (mu + 1j * mu[::-1] if dtype is complex else mu).astype(dtype)
+        idx = np.subtract.outer(np.arange(n), np.arange(n))
+        want = np.where(idx >= 0, mu[np.maximum(idx, 0)], 0.0)
+        tracemalloc.start()
+        try:
+            got = volterra._toeplitz(mu)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got.nbytes <= peak <= 1.01 * got.nbytes
 
     @settings(deadline=None, derandomize=True)
     @given(st.data())
