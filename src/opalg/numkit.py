@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -639,9 +638,7 @@ def toeplitz_operator_norm(first_column, tol: float | None = None, restarts: int
     `np.longdouble` product in the 2-norm, the FFT's within 3.4e-16 and a
     single cumsum's within 1.8e-14.  The sums, the output and one term
     buffer are allocated once, so a power step allocates nothing; `matvec`
-    and `rmatvec` return views of the output buffer.  The run product stays
-    on the calling thread: it makes no pocketfft scratch, the reason for the
-    worker below.
+    and `rmatvec` return views of the output buffer.
 
     FFT product.  A causal convolution at a power-of-two length L of at
     least 2N, O(N log N) per product: a real column takes the half-spectrum
@@ -655,21 +652,9 @@ def toeplitz_operator_norm(first_column, tol: float | None = None, restarts: int
     factor conj(Ĉ) is not stored: conj(Ĉ) W is computed as conj(Ĉ conj(W))
     with in-place conjugates, the same bits but for the sign of an exact
     zero.  Batched transforms along the last axis give each row the bits of
-    a one-row transform.
-
-    A block of one FFT row runs on one worker thread, which the call starts
-    and joins; the restarts stay sequential, `.result()` re-raises errors
-    unchanged, and an interrupt stops the worker at its next transform.
-    pocketfft's scratch for a transform of 2^21 points is about 32 MB, and
-    glibc's main arena gives it back to the kernel after every transform and
-    faults it in again on the next: 16,320 minor faults and about 140 ms per
-    `rfft`/`irfft` pair, against none and about 100 ms on a worker, whose
-    arena keeps its pages.  Blocks of several rows stay on the calling
-    thread, because there a worker was measured to cost memory and save no
-    time: with every call on a worker, the benchmark's `volterra-dense`
-    workload (FFT norms at N = 480 to 1024) read a peak RSS of 42.6 MB
-    against 41.5 MB and median operation times of 25-29 ms against 25-28 ms
-    (three alternating pairs on a 2-vCPU Xeon, one BLAS thread).
+    a one-row transform.  Every product runs on the calling thread; from
+    N = 2^14 on, glibc's main arena hands pocketfft's scratch back to the
+    kernel after each transform, so every transform faults it in again.
     """
     col = np.asarray(first_column)
     if col.ndim != 1 or col.size == 0:
@@ -683,8 +668,7 @@ def toeplitz_operator_norm(first_column, tol: float | None = None, restarts: int
     length = 1
     while length < 2 * n:
         length *= 2
-    per_block = _block_rows(16 * n)
-    rows = min(max(restarts, 1), per_block)  # the core rejects restarts < 1
+    rows = min(max(restarts, 1), _block_rows(16 * n))  # the core rejects restarts < 1
 
     def iterate(bind):
         return _power_iterate(bind, 1, n, 16 * n, is_complex, tol, restarts, max_iter,
@@ -698,14 +682,11 @@ def toeplitz_operator_norm(first_column, tol: float | None = None, restarts: int
     chat = forward(col, length)
     spec = np.empty((rows, chat.size), dtype=chat.dtype)
     signal = np.empty((rows, length), dtype=col.dtype)
-    interrupted = threading.Event()
 
     def bind(ops):
         spec_k, signal_k = spec[:len(ops)], signal[:len(ops)]
 
         def product(v, adjoint):
-            if interrupted.is_set():
-                raise KeyboardInterrupt
             forward(v, length, out=spec_k)
             if adjoint:
                 np.conjugate(spec_k, out=spec_k)
@@ -718,15 +699,4 @@ def toeplitz_operator_norm(first_column, tol: float | None = None, restarts: int
 
         return (lambda v: product(v, False)), (lambda w: product(w, True))
 
-    if per_block > 1:
-        return iterate(bind)
-    # imported here: it pulls in `logging`, about 10 ms on every start of the CLI
-    import concurrent.futures
-    with concurrent.futures.ThreadPoolExecutor(1) as worker:
-        future = worker.submit(iterate, bind)
-        try:
-            return future.result()
-        except KeyboardInterrupt:
-            # the executor's exit joins the worker: stop it at its next transform
-            interrupted.set()
-            raise
+    return iterate(bind)

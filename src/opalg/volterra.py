@@ -531,7 +531,7 @@ def muntz(*, dim: int = 1000, nmax: int = 12) -> ExperimentReport:
     q, r = np.linalg.qr(basis)
     rdiag = np.abs(np.diag(r))
     if rdiag.min() < 1e-13 * rdiag.max():
-        raise RuntimeError(
+        raise ValueError(
             f"ill-conditioned monomial fit: diagonal ratio {rdiag.min() / rdiag.max()}")
     coeffs = np.linalg.solve(r, q.T @ xs)
     eps = float(np.max(np.abs(xs - basis @ coeffs)))

@@ -27,9 +27,13 @@ class TestValidation:
         assert proc.returncode == 2
         assert b"validation error" in proc.stderr
 
-    def test_bad_dim(self):
-        proc = run_cli("v2norm", "--dim", "1")
+    @pytest.mark.parametrize("args", [("v2norm", "--dim", "1"), ("muntz", "--nmax", "23")],
+                             ids=["v2norm-dim-1", "muntz-nmax-23"])
+    def test_bad_option_value(self, args):
+        # from nmax = 23 on, the monomial fit's R-diagonal ratio is below 1e-13
+        proc = run_cli(*args)
         assert proc.returncode == 2
+        assert b"validation error" in proc.stderr
 
     @pytest.mark.parametrize("dim", ["2", "3"])
     def test_neumann_dim_below_four_rejected(self, dim, capsys):

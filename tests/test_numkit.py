@@ -1,6 +1,5 @@
 """Unit tests for the foundation numerics."""
 
-import concurrent.futures
 import itertools
 import math
 import os
@@ -810,8 +809,8 @@ class TestToeplitzNorm:
     @pytest.mark.parametrize("n", [2**14, 2**15])
     @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
     def test_single_row_blocks_equal_sequential_oracle(self, n, is_complex):
-        # from N = 2^14 on a block is one FFT row, and the core runs on a
-        # worker thread; a linear phase makes a unitarily similar complex column
+        # from N = 2^14 on a block is one FFT row; a linear phase makes a
+        # unitarily similar complex column
         col = fft_column(n)
         if is_complex:
             col = col * np.exp(0.5j * np.arange(n))
@@ -819,34 +818,6 @@ class TestToeplitzNorm:
         assert toeplitz_operator_norm(col, **kw) == sequential_toeplitz_operator_norm(col, **kw)
         assert outcome(lambda: toeplitz_operator_norm(col, max_iter=2, **kw)) == outcome(
             lambda: sequential_toeplitz_operator_norm(col, max_iter=2, **kw))
-
-    @pytest.mark.parametrize("n, on_worker", [(2**13, False), (2**14, True)])
-    def test_only_single_row_blocks_run_on_a_worker(self, n, on_worker, monkeypatch):
-        threads = []
-        core = numkit._power_iterate
-
-        def recording(*args):
-            threads.append(threading.current_thread())
-            return core(*args)
-
-        monkeypatch.setattr(numkit, "_power_iterate", recording)
-        toeplitz_operator_norm(fft_column(n), tol=1e-10)
-        assert len(threads) == 1
-        assert (threads[0] is not threading.current_thread()) == on_worker
-
-    def test_interrupt_stops_the_worker(self, monkeypatch):
-        # Ctrl-C reaches the calling thread, in `result()`; the worker must
-        # not run its power iteration to the end before the call can return
-        futures = []
-
-        def interrupted(future, timeout=None):
-            futures.append(future)
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(concurrent.futures.Future, "result", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            toeplitz_operator_norm(fft_column(2**14))
-        assert isinstance(futures[0].exception(), KeyboardInterrupt)
 
     def test_power_step_allocates_nothing(self):
         mu = fft_column(2**15)
@@ -863,8 +834,7 @@ class TestToeplitzNorm:
         # spectrum buffer (n + 1 complex, about 16n bytes each), the signal
         # buffer (2n floats, 16n bytes) and one unit iterate (8n bytes): 56n
         # bytes.  Half an iterate of slack covers the small transients; one
-        # more 8n array per step does not fit.  The iterates are allocated on
-        # the worker thread, so the lower bound shows tracemalloc counts them.
+        # more 8n array per step does not fit.
         assert 56 * n <= peak <= 56 * n + 4 * n
 
     @pytest.mark.parametrize("n, is_complex, restarts", [
@@ -879,7 +849,10 @@ class TestToeplitzNorm:
         assert outcome(lambda: toeplitz_operator_norm(col, max_iter=2, **kw)) == outcome(
             lambda: sequential_toeplitz_operator_norm(col, max_iter=2, **kw))
 
-    def test_run_product_stays_on_the_calling_thread(self, monkeypatch):
+    @pytest.mark.parametrize("product", ["run", "fft"])
+    def test_products_stay_on_the_calling_thread(self, product, monkeypatch):
+        n = 2**14
+        col = kernel_notell1(12, n).mu if product == "run" else fft_column(n)
         threads = []
         core = numkit._power_iterate
 
@@ -888,7 +861,7 @@ class TestToeplitzNorm:
             return core(*args)
 
         monkeypatch.setattr(numkit, "_power_iterate", recording)
-        toeplitz_operator_norm(kernel_notell1(12, 2**14).mu, tol=1e-10)
+        toeplitz_operator_norm(col, tol=1e-10)
         assert threads == [threading.current_thread()]
 
     def test_run_power_step_allocates_nothing(self):

@@ -370,6 +370,18 @@ class TestInequivalence:
         assert rep.passed
         assert rep.value("ratio") >= math.sqrt(2.0 / 3.0) * 4.0
 
+    @pytest.mark.parametrize("perturbation", [0.0, 1e-12])
+    def test_spread_slack_is_relative(self, perturbation, monkeypatch):
+        # at n = 500 the spread image lands 1.5e-12 (3.6e-15 relative) from
+        # its closed form; a closed form 1e-12 relative off must still fail
+        n = 500
+        sqrt = math.sqrt
+        monkeypatch.setattr(math, "sqrt", lambda x: sqrt(x) * (
+            1.0 + perturbation if x == 2.0 * n * n + 1.0 else 1.0))
+        flags = dict(inequivalence(nmax=n).flags)
+        assert flags.pop("spread_closed_form_matches") == (perturbation == 0.0)
+        assert all(flags.values())
+
 
 class TestQuasinilpotence:
     def test_geometric_closed_form(self):
