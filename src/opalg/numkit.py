@@ -270,20 +270,100 @@ def operator_norm(a, tol: float | None = None, restarts: int = 3,
     return norms if a.ndim == 3 else norms[0]
 
 
-def _shift_diagonal(buffer: np.ndarray, gram_diagonal: np.ndarray, t: float):
-    """Write s - g_ii, s = t^2 (1 - (n + 2)^2 eps), on the diagonal of the
-    negated Gram matrix `buffer` (see `certified_norm`)."""
-    n = len(gram_diagonal)
+def _gram_from_column(col: np.ndarray, buffer: np.ndarray, gram_diagonal: np.ndarray):
+    """Write G = fl(A*A), A the lower-triangular Toeplitz matrix with first
+    column `col`, into the strict upper triangle of `buffer` and its diagonal
+    into `gram_diagonal`, one `np.cumsum` per diagonal:
+    G[i, i + d] = sum_{m=d}^{N-1-i} conj(c_m) c_{m-d}, summed in order of m.
+    The lower triangle is not touched."""
+    n = col.size
+    conj = col.conj()
+    terms = conj * col
+    np.cumsum(terms.real, out=gram_diagonal[::-1])
+    flat = buffer.reshape(-1)
+    for d in range(1, n):
+        np.multiply(conj[d:], col[:n - d], out=terms[:n - d])
+        np.cumsum(terms[:n - d], out=flat[d::n + 1][:n - d][::-1])
+
+
+def _cholesky_in_place(buffer: np.ndarray, gram_diagonal: np.ndarray, t: float) -> bool:
+    """Factor B(t) = s I - G, s = t^2 (1 - (N + 2)^2 eps), as L L*, with G in
+    the strict upper triangle of `buffer` and on `gram_diagonal` (see
+    `certified_norm`).  Left-looking, one gemv per column: column j of B
+    below the diagonal is -conj(G[j, j+1:]), read from the upper triangle,
+    which stays untouched, and L goes into the lower triangle, diagonal
+    included.  Returns whether every pivot was positive; after a failure the
+    lower triangle holds a partial factor."""
+    n = gram_diagonal.size
     s = t * t * (1.0 - (n + 2) ** 2 * _EPS)
-    np.subtract(s, gram_diagonal, out=buffer.reshape(-1)[::n + 1])
-
-
-def _cholesky_succeeds(buffer: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(buffer)
-    except np.linalg.LinAlgError:
-        return False
+    work = np.empty(n, dtype=buffer.dtype)
+    row = np.empty(n, dtype=buffer.dtype)
+    for j in range(n):
+        # w = L[j:, :j] conj(L[j, :j]), so w[0] = sum_k |L[j, k]|^2
+        w = np.matmul(buffer[j:, :j], np.conjugate(buffer[j, :j], out=row[:j]),
+                      out=work[:n - j])
+        pivot = (s - gram_diagonal[j]) - w[0].real
+        if not pivot > 0.0:
+            return False
+        r = math.sqrt(pivot)
+        buffer[j, j] = r
+        # L[i, j] = (B[i, j] - w_i) / r = (conj(G[j, i]) + w_i) / (-r)
+        column = buffer[j + 1:, j]
+        np.add(np.conjugate(buffer[j, j + 1:], out=row[:n - j - 1]), w[1:], out=column)
+        np.divide(column, -r, out=column)
     return True
+
+
+def _substitute(buffer: np.ndarray, x: np.ndarray):
+    """Overwrite x with (L L*)^-1 x, L the factor in `buffer`'s lower
+    triangle: forward substitution with L, then back substitution with L*."""
+    for i in range(x.size):
+        x[i] = (x[i] - np.dot(buffer[i, :i], x[:i])) / buffer[i, i].real
+    for i in range(x.size - 1, -1, -1):
+        x[i] = (x[i] - np.vdot(buffer[i + 1:, i], x[i + 1:])) / buffer[i, i].real
+
+
+def _certifiable(x: np.ndarray) -> np.ndarray:
+    """x in float64 or complex128, the precisions the certificate's shift is
+    derived for; ValueError for a wider or non-numeric dtype, a non-finite
+    entry, or an N whose resolution 8(N + 2)^2 eps exceeds CERTIFIED_TOL."""
+    x = x.astype(np.result_type(x.dtype, np.float64), copy=False)
+    if x.dtype not in (np.float64, np.complex128):
+        raise ValueError(f"the certificate needs float64 or complex128 entries, got {x.dtype}")
+    _validate_finite(x)
+    resolution = 8.0 * (x.shape[0] + 2) ** 2 * _EPS
+    if resolution > CERTIFIED_TOL:
+        raise ValueError(f"N={x.shape[0]}: the certificate's resolution 8(N+2)^2 eps="
+                         f"{resolution} exceeds CERTIFIED_TOL={CERTIFIED_TOL}")
+    return x
+
+
+def _certify(buffer: np.ndarray, gram_diagonal: np.ndarray, lower: float,
+             image_norm) -> tuple[float, float]:
+    """`certified_norm`'s bracket from G in `buffer`'s strict upper triangle
+    and on `gram_diagonal`, a start `lower` and image_norm(x) = ||A x||."""
+    x = _starts(gram_diagonal.size, [1], buffer.dtype.kind == "c")[0]
+    upper = math.inf
+    t = lower * (1.0 + 1e-2)
+    for _ in range(INVERSE_ITERATION_CAP):
+        if _cholesky_in_place(buffer, gram_diagonal, t):
+            upper = t
+            if upper <= lower * (1.0 + CERTIFIED_TOL):
+                return lower, upper
+        elif upper == math.inf:
+            t = lower + 8.0 * (t - lower)
+            continue
+        else:
+            # the same arithmetic as the attempt that certified upper, so it succeeds
+            _cholesky_in_place(buffer, gram_diagonal, upper)
+        _substitute(buffer, x)
+        x /= np.linalg.norm(x)
+        lower = max(lower, image_norm(x))
+        if upper <= lower * (1.0 + CERTIFIED_TOL):
+            return lower, upper
+        t = lower + (upper - lower) / 8.0
+    raise ConvergenceError(
+        f"certified norm did not close within {INVERSE_ITERATION_CAP} steps", lower)
 
 
 def certified_norm(a) -> tuple[float, float]:
@@ -295,82 +375,85 @@ def certified_norm(a) -> tuple[float, float]:
 
     `lower` is ||Ax|| / ||x|| for a computed x, the lower bound
     `operator_norm` gives, and starts at `operator_norm(a, tol=1e-4)`.
-    `upper` is certified: it is the smallest t at which `np.linalg.cholesky`
-    of B(t) = s I - G has succeeded, where G = fl(A*A) is formed once and
-    s = fl(t^2 (1 - k)), k = (n + 2)^2 eps.  One buffer holds B(t); only its
-    diagonal moves with t.  A step solves B(upper) y = x and takes x = y/||y||
-    (inverse iteration on A*A, shifted just above sigma_1^2), raises `lower`
-    to ||Ax||, and tries to certify t = lower + (upper - lower) / 8.  The
-    first t tried is lower * (1 + 1e-2), moved 8 times as far out after each
-    failure; every attempt counts as a step towards INVERSE_ITERATION_CAP.
+    `upper` is certified: it is the smallest t at which a Cholesky
+    factorization of B(t) = s I - G has run to completion, where G = fl(A*A)
+    and s = fl(t^2 (1 - k)), k = (n + 2)^2 eps.  One N x N buffer holds
+    both: G stays in its strict upper triangle (its diagonal in a vector),
+    and `_cholesky_in_place` reads B from there and writes the factor L into
+    the lower triangle, so every attempt reuses the buffer and nothing is
+    rebuilt.  A step takes x = y/||y|| for y = B(upper)^-1 x, by two
+    substitutions with the factor just computed (inverse iteration on A*A,
+    shifted just above sigma_1^2), raises `lower` to ||Ax||, and tries to
+    certify t = lower + (upper - lower) / 8.  After an attempt fails, B is
+    factored at `upper` again before the step.  The first t tried is
+    lower * (1 + 1e-2), moved 8 times as far out after each failure; every
+    attempt counts as a step towards INVERSE_ITERATION_CAP.
 
     Why success at t proves t > sigma_1 (u = eps/2 is the unit roundoff,
     g = (n + 2) u / (1 - (n + 2) u), and nothing underflows or overflows):
     - G differs from A*A by at most g |A|*|A| entrywise, for real and complex
       inner products in any summation order (Higham 2002, sections 3.1 and
-      3.6), so ||G - A*A|| <= g ||A||_F^2.  Cholesky reads G's lower triangle
-      and the real part of its diagonal; the Hermitian matrix H they define
-      obeys the same bound.
+      3.6), so ||G - A*A|| <= g ||A||_F^2.  The factorization reads G's
+      upper triangle and its real diagonal; the Hermitian matrix H they
+      define obeys the same bound.
     - B's diagonal is fl(s - g_ii), within u s of s - g_ii, so B is sI - H
       plus a diagonal of norm at most u s.
     - A Cholesky factorization that runs to completion on B gives
-      B + E = R*R with |E| <= g |R*| |R| (Demmel 1989).  Cauchy-Schwarz on the
-      columns of R bounds ||E|| by g trace(R*R) <= g trace(B) / (1 - g), so
-      lambda_min(B) > -g trace(B) / (1 - g) (the route of Rump 2006, BIT 46).
-    - Success needs every fl(s - g_ii) > 0.  Then trace(B) <=
-      (1 + u)(n s - sum g_ii) and ||A||_F^2 <= sum g_ii / (1 - g), so
-      t^2 - sigma_1^2 > (t^2 - s) - (1 + u) g n s / (1 - g) - u s.
+      B + E = L L* with |E| <= g |L| |L*|, whatever the order of its inner
+      products (Demmel 1989; Higham 2002, Thm 10.3, with gamma_{n+1} <= g).
+      Cauchy-Schwarz on the rows of L bounds ||E|| by g trace(L L*) <=
+      g trace(B) / (1 - g), so lambda_min(B) > -g trace(B) / (1 - g) (the
+      route of Rump 2006, BIT 46).
+    - Success needs every pivot, and so every fl(s - g_ii), > 0.  Then
+      trace(B) <= (1 + u)(n s - sum g_ii) and ||A||_F^2 <= sum g_ii / (1 - g),
+      so t^2 - sigma_1^2 > (t^2 - s) - (1 + u) g n s / (1 - g) - u s.
     - s is t^2 (1 - k) to within 3u relative, so t^2 - s >= (k - 3.01 u) t^2,
       while the terms subtracted come to about n (n + 2) u t^2 + u t^2.  The
       shift k t^2 = 2 (n + 2)^2 u t^2 exceeds them for every n.
-    Cholesky fails once t^2 (1 - k) < sigma_1^2, so a bracket cannot close
-    below a relative width of about k / 2.  An N with 8k > CERTIFIED_TOL
-    (N > 2370) raises ValueError; where 8k <= CERTIFIED_TOL, the next t stays
-    above that floor whenever the bracket is still open and `lower` is within
-    k / 2 of sigma_1.
+    The factorization fails once t^2 (1 - k) < sigma_1^2, so a bracket
+    cannot close below a relative width of about k / 2.  An N with
+    8k > CERTIFIED_TOL (N > 2370) raises ValueError; where 8k <=
+    CERTIFIED_TOL, the next t stays above that floor whenever the bracket is
+    still open and `lower` is within k / 2 of sigma_1.
 
-    Besides `a`, two N x N arrays are alive at once: the buffer and the
-    working copy of `np.linalg.cholesky` or `np.linalg.solve` (a tracemalloc
-    peak of 2.02 times the bytes of `a` at N = 200, real or complex).
+    Besides `a`, one N x N array is alive while the bracket closes: the
+    buffer, filled by the one product a* a (for which a complex `a` is
+    conjugated into a temporary copy).  `certified_toeplitz_norm` builds the
+    same buffer from a Toeplitz column, without the matrix.
     """
-    a = ComplexMatrix(a).entries
-    a = a.astype(np.result_type(a.dtype, np.float64), copy=False)
-    if a.dtype not in (np.float64, np.complex128):
-        raise ValueError(f"certified_norm needs float64 or complex128 entries, got {a.dtype}")
-    _validate_finite(a)
-    n = a.shape[0]
-    resolution = 8.0 * (n + 2) ** 2 * _EPS
-    if resolution > CERTIFIED_TOL:
-        raise ValueError(f"N={n}: the certificate's resolution 8(N+2)^2 eps={resolution} "
-                         f"exceeds CERTIFIED_TOL={CERTIFIED_TOL}")
+    a = _certifiable(ComplexMatrix(a).entries)
     if not np.any(a):
         return 0.0, 0.0
     lower = operator_norm(a, tol=1e-4)
     buffer = a.conj().T @ a
     gram_diagonal = buffer.diagonal().real.copy()
-    np.negative(buffer, out=buffer)
-    x = _starts(n, [1], np.iscomplexobj(a))[0]
-    upper = math.inf
-    t = lower * (1.0 + 1e-2)
-    for _ in range(INVERSE_ITERATION_CAP):
-        _shift_diagonal(buffer, gram_diagonal, t)
-        if _cholesky_succeeds(buffer):
-            upper = t
-            if upper <= lower * (1.0 + CERTIFIED_TOL):
-                return lower, upper
-        elif upper == math.inf:
-            t = lower + 8.0 * (t - lower)
-            continue
-        else:
-            _shift_diagonal(buffer, gram_diagonal, upper)
-        x = np.linalg.solve(buffer, x)
-        x /= np.linalg.norm(x)
-        lower = max(lower, float(np.linalg.norm(a @ x)))
-        if upper <= lower * (1.0 + CERTIFIED_TOL):
-            return lower, upper
-        t = lower + (upper - lower) / 8.0
-    raise ConvergenceError(
-        f"certified norm did not close within {INVERSE_ITERATION_CAP} steps", lower)
+    return _certify(buffer, gram_diagonal, lower,
+                    lambda x: float(np.linalg.norm(a @ x)))
+
+
+def certified_toeplitz_norm(first_column) -> tuple[float, float]:
+    """`certified_norm`'s bracket for the lower-triangular Toeplitz matrix
+    with the given first column, which is never formed: G is built from the
+    column (`_gram_from_column`), whose entries are the same inner products
+    as those of A*A, each summed in one recursive order, so the bound on
+    ||G - A*A|| and the certificate hold unchanged.  `lower` starts at
+    `toeplitz_operator_norm(first_column, tol=1e-4)` and ||Ax|| is the
+    truncated `np.convolve` of the column with x.  The buffer is the only
+    N x N array.
+    """
+    col = np.asarray(first_column)
+    if col.ndim != 1 or col.size == 0:
+        raise ValueError("first_column must be a nonempty vector")
+    col = _certifiable(col)
+    if not np.any(col):
+        return 0.0, 0.0
+    n = col.size
+    lower = toeplitz_operator_norm(col, tol=1e-4)
+    buffer = np.empty((n, n), dtype=col.dtype)
+    gram_diagonal = np.empty(n)
+    _gram_from_column(col, buffer, gram_diagonal)
+    return _certify(buffer, gram_diagonal, lower,
+                    lambda x: float(np.linalg.norm(np.convolve(col, x)[:n])))
 
 
 def _column_norms_squared(rows: np.ndarray) -> np.ndarray:

@@ -16,10 +16,12 @@ u^(-1/2) self-convolution of `titchmarsh` at order 1 (halving ratios of 2).
 An element is its first column mu, a product is the truncated Cauchy product
 of columns (`numkit.cauchy`), so support arithmetic holds bit for bit, and a
 norm is `sigma_max`.  Given a tol, as on `titchmarsh`'s ladder, sigma_max
-takes a dense grid's norm as the lower end of a certified bracket
-(`numkit.certified_norm`).  Dense matrices appear only below sigma_max's
-crossover: in `nilpotency_check` (through `build_vf`, which tests also use),
-in those certified norms and in the corner of `ideal_restriction_check`.
+takes a grid's norm up to N = 1024 as the lower end of a bracket certified
+from the column (`numkit.certified_toeplitz_norm`), with one N x N buffer
+and no matrix.  Dense matrices appear only below sigma_max's crossover: in
+`nilpotency_check` (through `build_vf`, which tests also use), in
+sigma_max's norms without a tol and in the corner of
+`ideal_restriction_check`.
 
 The claim functions `v2norm`, `littlereade`, `notell1`, `titchmarsh`,
 `muntz`, `nilpotent_density` and `unbounded_witness` are the `opalg`
@@ -35,14 +37,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import (CERTIFIED_TOL, ComplexMatrix, cauchy, certified_norm, find_root,
-                     operator_norm, toeplitz_operator_norm)
+from .numkit import (CERTIFIED_TOL, ComplexMatrix, cauchy, certified_toeplitz_norm,
+                     find_root, operator_norm, toeplitz_operator_norm)
 from .report import ExperimentReport
 
 MAX_DENSE_DIM = 4096  # memory guard of build_vf
 # Largest grid sigma_max iterates on densely; dense and FFT matvecs tie at
 # N = 240-288 with one BLAS thread (the measured table is in CHANGES.md).
 SIGMA_MAX_DENSE_DIM = 256
+# Largest grid sigma_max given a tol certifies from the column: at N = 1024,
+# titchmarsh's residual takes 19 factorizations of the 8 MB buffer, 1.2 s.
+SIGMA_MAX_CERTIFIED_DIM = 1024
 
 
 @dataclass(frozen=True)
@@ -262,18 +267,20 @@ def build_vf(f: SampledKernel, n: int) -> VolterraDiscretization:
 
 def sigma_max(mu, tol: float | None = None) -> float:
     """Largest singular value of the convolution matrix with first column mu.
-    Above SIGMA_MAX_DENSE_DIM cells it is `toeplitz_operator_norm` at `tol`.
-    Up to it, it is `operator_norm` when no tol is given (both default to tol
-    max(1e-13, 4 eps N), 3 restarts), and with a tol the lower end of
-    `certified_norm`'s bracket, whose width CERTIFIED_TOL must not exceed it."""
+    Without a tol it is `operator_norm` up to SIGMA_MAX_DENSE_DIM cells and
+    `toeplitz_operator_norm` above (both at tol max(1e-13, 4 eps N),
+    3 restarts).  With a tol it is the lower end of
+    `certified_toeplitz_norm`'s bracket, whose width CERTIFIED_TOL must not
+    exceed it, up to SIGMA_MAX_CERTIFIED_DIM cells, and
+    `toeplitz_operator_norm` at `tol` above."""
     mu = np.asarray(mu)
+    if tol is not None and len(mu) <= SIGMA_MAX_CERTIFIED_DIM:
+        if tol < CERTIFIED_TOL:
+            raise ValueError(f"tol={tol} below the certified bracket's width {CERTIFIED_TOL}")
+        return certified_toeplitz_norm(mu)[0]
     if len(mu) > SIGMA_MAX_DENSE_DIM:
         return toeplitz_operator_norm(mu, tol=tol)
-    if tol is None:
-        return operator_norm(_toeplitz(mu))
-    if tol < CERTIFIED_TOL:
-        raise ValueError(f"tol={tol} below the certified bracket's width {CERTIFIED_TOL}")
-    return certified_norm(_toeplitz(mu))[0]
+    return operator_norm(_toeplitz(mu))
 
 
 def hs_norm(f: SampledKernel) -> float:
@@ -474,11 +481,10 @@ def titchmarsh(*, dim: int = 240) -> ExperimentReport:
     The ladder's rows are the norms of the homomorphism residual (the column
     of pi minus the self-convolution of u^(-1/2)) at relative tolerance 1e-8.
     Its top singular values cluster (relative gap 3e-5 at N = 240, 8e-6 at
-    480), where power iteration stops short by more than its tolerance.  So
-    `sigma_max` certifies a rung of at most SIGMA_MAX_DENSE_DIM cells: its row
-    is the lower end of `certified_norm`'s bracket, within 1e-8 of the norm.
-    A larger rung stays on `sigma_max`'s FFT power iteration (2.0e-5 short at
-    N = 480).
+    480), where power iteration stops short by more than its tolerance (2.0e-5
+    at N = 480).  So `sigma_max` certifies every rung of at most
+    SIGMA_MAX_CERTIFIED_DIM cells, the default three included: its row is the
+    lower end of `certified_toeplitz_norm`'s bracket, within 1e-8 of the norm.
     """
     if dim % 60 != 0:
         raise ValueError("titchmarsh experiment needs a dim divisible by 60")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -279,6 +280,16 @@ class TestCliProcess:
         second = run_cli(*args)
         assert first.returncode == 0
         assert first.stdout == second.stdout
+
+    def test_titchmarsh_bytes_do_not_depend_on_blas_threads(self):
+        # its certified rungs make gemv and dot products, which OpenBLAS may
+        # split across threads
+        args = [sys.executable, "-m", "opalg.cli", "titchmarsh", "--format", "json", "--seed", "7"]
+        out = [subprocess.run(args, capture_output=True,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+               for threads in ("1", "2")]
+        assert out[0].returncode == 0
+        assert out[0].stdout == out[1].stdout
 
     def test_determinism_csv(self):
         args = ("v2norm", "--dim", "64")

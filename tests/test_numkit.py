@@ -18,11 +18,12 @@ from opalg.numkit import (
     BLOCK_BYTES,
     ComplexMatrix,
     ConvergenceError,
-    _cholesky_succeeds,
+    _cholesky_in_place,
+    _gram_from_column,
     _round_robin,
     _row_norms,
-    _shift_diagonal,
     certified_norm,
+    certified_toeplitz_norm,
     find_root,
     jacobi_svd,
     operator_norm,
@@ -431,16 +432,27 @@ def lapack_norm(a):
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
+def gram_cases():
+    """(matrix, from_column) pairs for the certificate's mutation tests: the
+    corpus through one product A*A, and the three default `titchmarsh`
+    residuals and a complex Toeplitz matrix through both Gram builders."""
+    toeplitz = [titchmarsh_residual(n) for n in (120, 240, 480)]
+    rng = np.random.default_rng(9)
+    toeplitz.append(_toeplitz(rng.standard_normal(90) + 1j * rng.standard_normal(90)))
+    return ([(a, False) for a in certified_corpus()]
+            + [(a, from_column) for a in toeplitz for from_column in (False, True)])
+
+
 class TestCertifiedNorm:
-    @pytest.mark.parametrize("n", [120, 240, 256])
+    @pytest.mark.parametrize("n", [120, 240, 256, 480])
     def test_titchmarsh_rungs_bracket_lapack(self, n):
         # N = 256 is where default-tol power iteration hits its cap
         a = titchmarsh_residual(n)
-        lower, upper = certified_norm(a)
         sigma = lapack_norm(a)
-        assert upper <= lower * (1.0 + 1e-8)
-        assert upper >= sigma
-        assert lower <= sigma * (1.0 + 1e-14)
+        for lower, upper in (certified_norm(a), certified_toeplitz_norm(a[:, 0])):
+            assert upper <= lower * (1.0 + 1e-8)
+            assert upper >= sigma
+            assert lower <= sigma * (1.0 + 1e-14)
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-10])
     def test_corpus_brackets_lapack(self, monkeypatch, tol):
@@ -452,6 +464,18 @@ class TestCertifiedNorm:
             assert upper >= sigma
             assert lower <= sigma * (1.0 + 1e-14)
 
+    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
+    def test_toeplitz_columns_bracket_lapack(self, monkeypatch, tol):
+        monkeypatch.setattr(numkit, "CERTIFIED_TOL", tol)
+        rng = np.random.default_rng(2027)
+        for n in (1, 2, 3, 8, 33, 90, 128):
+            for col in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+                lower, upper = certified_toeplitz_norm(col)
+                sigma = lapack_norm(_toeplitz(col))
+                assert upper <= lower * (1.0 + tol)
+                assert upper >= sigma
+                assert lower <= sigma * (1.0 + 1e-14)
+
     def test_seed_411_closes_on_lapack(self, monkeypatch):
         # the matrix of operator_norm's strict xfail, which stays as it is
         monkeypatch.setattr(numkit, "CERTIFIED_TOL", 1e-10)
@@ -460,31 +484,76 @@ class TestCertifiedNorm:
         assert abs(lower - lapack_norm(a)) <= 1e-10 * lower
 
     @staticmethod
-    def certifies(a, t):
-        """The certificate `certified_norm` tries at t, on a fresh buffer."""
-        buffer = a.conj().T @ a
-        gram_diagonal = buffer.diagonal().real.copy()
-        np.negative(buffer, out=buffer)
-        _shift_diagonal(buffer, gram_diagonal, t)
-        return _cholesky_succeeds(buffer)
+    def certifies(a, t, from_column):
+        """The certificate the bracket tries at t, on a fresh buffer holding
+        G = fl(A*A) from one product or from A's first column."""
+        if from_column:
+            buffer = np.empty_like(a)
+            gram_diagonal = np.empty(a.shape[0])
+            _gram_from_column(a[:, 0], buffer, gram_diagonal)
+        else:
+            buffer = a.conj().T @ a
+            gram_diagonal = buffer.diagonal().real.copy()
+        return _cholesky_in_place(buffer, gram_diagonal, t)
 
     def test_shift_below_the_norm_is_never_certified(self):
         # and a shift well above it is, so the check is not vacuous
-        for a in certified_corpus() + [titchmarsh_residual(n) for n in (120, 240)]:
+        for a, from_column in gram_cases():
             sigma = lapack_norm(a)
-            assert not self.certifies(a, sigma * (1.0 - 1e-12))
-            assert self.certifies(a, sigma * (1.0 + 1e-8))
+            assert not self.certifies(a, sigma * (1.0 - 1e-12), from_column)
+            assert self.certifies(a, sigma * (1.0 + 1e-8), from_column)
 
     def test_shift_is_the_derived_one(self):
         # with k = (N + 2)^2 eps, Cholesky of (t^2 (1 - k)) I - A*A must fail at
         # t = sigma (1 + k/4), where t^2 (1 - k) ~ sigma^2 (1 - k/2), and succeed
         # at t = sigma (1 + 3k/4), where it is ~ sigma^2 (1 + k/2): an unshifted
         # or a doubled shift fails one of the two
-        for a in certified_corpus() + [titchmarsh_residual(n) for n in (120, 240)]:
+        for a, from_column in gram_cases():
             sigma = lapack_norm(a)
             k = (a.shape[0] + 2) ** 2 * np.finfo(float).eps
-            assert not self.certifies(a, sigma * (1.0 + k / 4.0))
-            assert self.certifies(a, sigma * (1.0 + 0.75 * k))
+            assert not self.certifies(a, sigma * (1.0 + k / 4.0), from_column)
+            assert self.certifies(a, sigma * (1.0 + 0.75 * k), from_column)
+
+    def test_factor_is_cholesky_and_gram_stays(self):
+        # the lower triangle takes L with L L* = B(t), the upper keeps G
+        rng = np.random.default_rng(3)
+        a = _toeplitz(rng.standard_normal(40) + 1j * rng.standard_normal(40))
+        buffer = np.empty_like(a)
+        gram_diagonal = np.empty(40)
+        _gram_from_column(a[:, 0], buffer, gram_diagonal)
+        upper = np.triu(buffer, 1)
+        t = 1.5 * lapack_norm(a)
+        assert _cholesky_in_place(buffer, gram_diagonal, t)
+        np.testing.assert_array_equal(np.triu(buffer, 1), upper)
+        factor = np.tril(buffer)
+        s = t * t * (1.0 - 42**2 * np.finfo(float).eps)
+        want = s * np.eye(40) - a.conj().T @ a
+        np.testing.assert_allclose(factor @ factor.conj().T, want, rtol=0, atol=1e-12 * t * t)
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(st.integers(1, 64), st.booleans(),
+           st.lists(st.floats(-1e6, 1e6).map(lambda v: v if abs(v) > 1e-100 else 0.0),
+                    min_size=128, max_size=128))
+    def test_column_gram_within_derived_bound(self, n, is_complex, values):
+        # |G - A*A| <= g |A|*|A| entrywise, the hypothesis of the certificate:
+        # g = gamma_N for real columns and gamma_{N+2} for complex ones, whose
+        # products add sqrt(2) gamma_2; A*A and |A|*|A| in long double, whose
+        # own rounding is added to the bound
+        col = np.array(values[:n])
+        if is_complex:
+            col = col + 1j * np.array(values[64:64 + n])
+        buffer = np.empty((n, n), dtype=col.dtype)
+        gram_diagonal = np.empty(n)
+        _gram_from_column(col, buffer, gram_diagonal)
+        gram = np.triu(buffer, 1) + np.diag(gram_diagonal)
+        exact = _toeplitz(col).astype(np.clongdouble if is_complex else np.longdouble)
+        want = exact.conj().T @ exact
+        scale = abs(exact).T @ abs(exact)
+        k = n + 2 if is_complex else n
+        u = np.finfo(float).eps / 2
+        u_ld = float(np.finfo(np.longdouble).eps) / 2
+        bound = (k * u / (1 - k * u) + (n + 2) * u_ld / (1 - (n + 2) * u_ld)) * scale
+        assert np.all(np.triu(abs(gram - want)) <= np.triu(bound))
 
     @pytest.mark.parametrize("n", [1, 5])
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -537,9 +606,38 @@ class TestCertifiedNorm:
 
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(numkit, "INVERSE_ITERATION_CAP", 2)
-        with pytest.raises(ConvergenceError) as info:
-            certified_norm(titchmarsh_residual(120))
-        assert 0.0 < info.value.last_value <= lapack_norm(titchmarsh_residual(120))
+        sigma = lapack_norm(titchmarsh_residual(120))
+        for certify, a in ((certified_norm, titchmarsh_residual(120)),
+                           (certified_toeplitz_norm, titchmarsh_residual(120)[:, 0])):
+            with pytest.raises(ConvergenceError) as info:
+                certify(a)
+            assert 0.0 < info.value.last_value <= sigma
+
+    def test_column_entry_point_checks_its_input(self):
+        assert certified_toeplitz_norm(np.zeros(7, dtype=complex)) == (0.0, 0.0)
+        lower, upper = certified_toeplitz_norm(np.arange(1, 41, dtype=np.int8))
+        sigma = lapack_norm(_toeplitz(np.arange(1.0, 41.0)))
+        assert lower <= sigma * (1.0 + 1e-14) and upper >= sigma
+        with pytest.raises(ValueError, match="nonempty vector"):
+            certified_toeplitz_norm(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="nonempty vector"):
+            certified_toeplitz_norm([])
+        with pytest.raises(ValueError, match="NaN"):
+            certified_toeplitz_norm([1.0, np.inf])
+        with pytest.raises(ValueError, match="float64 or complex128"):
+            certified_toeplitz_norm(np.ones(3, dtype=np.longdouble))
+        with pytest.raises(ValueError, match="resolution"):
+            certified_toeplitz_norm(np.zeros(2371))
+
+    def test_certified_path_makes_no_lapack_call(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("LAPACK factorization in the certified path")
+
+        for name in ("cholesky", "solve", "svd", "eigh", "qr"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        a = titchmarsh_residual(120)
+        assert certified_norm(a)[0] == pytest.approx(certified_toeplitz_norm(a[:, 0])[0],
+                                                     rel=1e-8)
 
 
 class TestJacobiSvd:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from opalg import volterra
 from opalg.numkit import cauchy, operator_norm, toeplitz_operator_norm
 from opalg.volterra import (
+    SIGMA_MAX_CERTIFIED_DIM,
     SIGMA_MAX_DENSE_DIM,
     SampledKernel,
     _window_edges,
@@ -473,11 +474,11 @@ class TestTitchmarsh:
             titchmarsh_alpha(f, f)
 
     def test_dense_ladder_rungs_match_lapack(self):
-        # the default ladder's N = 120 and 240 rungs, where power iteration at
-        # tol 1e-8 stopped 7.9e-6 and 2.0e-5 short in the residual's clustered
+        # the default ladder's three rungs, where power iteration at tol 1e-8
+        # stopped 7.9e-6, 2.0e-5 and 2.0e-5 short in the residual's clustered
         # top singular values, are certified and land on LAPACK's norm
         rep = titchmarsh()
-        for n in (120, 240):
+        for n in (120, 240, 480):
             _, dense = homomorphism_residual(n)
             sigma = np.linalg.svd(dense, compute_uv=False)[0]
             assert abs(rep.value(f"homomorphism_error_dim_{n}") - sigma) <= 1e-12 * sigma
@@ -609,20 +610,46 @@ class TestSigmaMax:
     def test_branch_matches_dense_power_iteration(self, monkeypatch, n, column):
         build, tol = self.COLUMNS[column]
         mu, dense = build(n)
-        dense_branch = n <= SIGMA_MAX_DENSE_DIM
-        if dense_branch and tol is not None:
-            # with a tol a dense grid is certified, so it lands on LAPACK's norm
+        if tol is not None:
+            # with a tol a grid is certified from its column, so it lands on
+            # LAPACK's norm without a dense matrix or power iteration
             want = np.linalg.svd(dense, compute_uv=False)[0]
+            wrong = ["operator_norm", "toeplitz_operator_norm", "_toeplitz"]
         else:
-            want = operator_norm(dense, tol=tol)
+            want = operator_norm(dense)
+            wrong = ["toeplitz_operator_norm" if n <= SIGMA_MAX_DENSE_DIM else "operator_norm"]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("wrong sigma_max branch")
 
-        monkeypatch.setattr(volterra, "toeplitz_operator_norm" if dense_branch
-                            else "operator_norm", forbidden)
+        for name in wrong:
+            monkeypatch.setattr(volterra, name, forbidden)
         got = sigma_max(mu, tol=tol)
         assert abs(got - want) <= 1e-12 * want
+
+    def test_tol_above_certified_dim_takes_toeplitz_norm(self, monkeypatch):
+        mu = kernel_constant(1.0, SIGMA_MAX_CERTIFIED_DIM + 1).mu
+        want = toeplitz_operator_norm(mu, tol=1e-8)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("wrong sigma_max branch")
+
+        monkeypatch.setattr(volterra, "certified_toeplitz_norm", forbidden)
+        assert sigma_max(mu, tol=1e-8) == want
+
+    def test_certified_rung_holds_one_matrix(self):
+        # the Gram matrix and its factor share one N x N buffer; a second
+        # N x N array (the dense matrix, a LAPACK working copy) would double it
+        mu, _ = homomorphism_residual(480)
+        sigma_max(mu, tol=1e-8)  # warm the FFT plan cache of the start
+        tracemalloc.start()
+        try:
+            sigma_max(mu, tol=1e-8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        buffer = mu.itemsize * 480 * 480
+        assert buffer <= peak <= 1.05 * buffer
 
     def test_dense_tol_below_certified_width_rejected(self):
         mu, _ = homomorphism_residual(64)
