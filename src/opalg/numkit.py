@@ -1,5 +1,6 @@
 """Foundation numerics: square complex matrices, operator 2-norm estimation
-with an independent SVD oracle, certified norm brackets, the truncated
+with an independent SVD oracle, matrix-free and certified norms of
+lower-triangular Toeplitz matrices from their first column, the truncated
 Cauchy product both algebras multiply with, the roots-of-unity node grid,
 and bracketed root finding.
 
@@ -31,10 +32,10 @@ POWER_ITERATION_CAP = 100_000
 # Working-set budget of one power-iteration block (see `_power_iterate`).
 BLOCK_BYTES = 256 * 1024
 
-# Step cap for the inverse iteration of `certified_norm`.
+# Step cap for the inverse iteration of `certified_toeplitz_norm`.
 INVERSE_ITERATION_CAP = 100
 
-# Relative width at which `certified_norm` closes its bracket.
+# Relative width at which `certified_toeplitz_norm` closes its bracket.
 CERTIFIED_TOL = 1e-8
 
 # Longest piece of a row `_row_norms` hands to one BLAS dot product: OpenBLAS
@@ -140,6 +141,15 @@ def _starts(n: int, seeds: list, complex_start: bool) -> np.ndarray:
     return v if len(distinct) == len(seeds) else v[[distinct.index(s) for s in seeds]]
 
 
+def _check_tol(tol: float, n: int):
+    """ValueError unless tol >= eps * N, the smallest relative change power
+    iteration resolves on N entries; NaN is rejected too.  Tested as
+    N <= tol / eps, exact for eps a power of two, so that an N past the
+    float range is rejected rather than overflowing."""
+    if not n <= tol / _EPS:
+        raise ValueError(f"tol={tol} below machine resolution eps*N at N={n}")
+
+
 def _power_iterate(bind, operators, n, row_bytes, complex_start, tol, restarts,
                    max_iter, label):
     """Shared power-iteration core on A*A with seeded restarts, for
@@ -169,8 +179,7 @@ def _power_iterate(bind, operators, n, row_bytes, complex_start, tol, restarts,
     calls `rmatvec`, and writes the next iterates z / ||z|| into the previous
     iterates' buffer (into the copy of z's remaining rows when rows left).
     """
-    if not tol >= _EPS * n:  # also rejects NaN
-        raise ValueError(f"tol={tol} below machine resolution eps*N={_EPS * n}")
+    _check_tol(tol, n)
     if restarts < 1:
         raise ValueError("restarts must be positive")
     if max_iter < 1:
@@ -289,7 +298,7 @@ def _gram_from_column(col: np.ndarray, buffer: np.ndarray, gram_diagonal: np.nda
 def _cholesky_in_place(buffer: np.ndarray, gram_diagonal: np.ndarray, t: float) -> bool:
     """Factor B(t) = s I - G, s = t^2 (1 - (N + 2)^2 eps), as L L*, with G in
     the strict upper triangle of `buffer` and on `gram_diagonal` (see
-    `certified_norm`).  Left-looking, one gemv per column: column j of B
+    `certified_toeplitz_norm`).  Left-looking, one gemv per column: column j of B
     below the diagonal is -conj(G[j, j+1:]), read from the upper triangle,
     which stays untouched, and L goes into the lower triangle, diagonal
     included.  Returns whether every pivot was positive; after a failure the
@@ -323,79 +332,42 @@ def _substitute(buffer: np.ndarray, x: np.ndarray):
         x[i] = (x[i] - np.vdot(buffer[i + 1:, i], x[i + 1:])) / buffer[i, i].real
 
 
-def _certifiable(x: np.ndarray) -> np.ndarray:
-    """x in float64 or complex128, the precisions the certificate's shift is
-    derived for; ValueError for a wider or non-numeric dtype, a non-finite
-    entry, or an N whose resolution 8(N + 2)^2 eps exceeds CERTIFIED_TOL."""
-    x = x.astype(np.result_type(x.dtype, np.float64), copy=False)
-    if x.dtype not in (np.float64, np.complex128):
-        raise ValueError(f"the certificate needs float64 or complex128 entries, got {x.dtype}")
-    _validate_finite(x)
-    resolution = 8.0 * (x.shape[0] + 2) ** 2 * _EPS
-    if resolution > CERTIFIED_TOL:
-        raise ValueError(f"N={x.shape[0]}: the certificate's resolution 8(N+2)^2 eps="
-                         f"{resolution} exceeds CERTIFIED_TOL={CERTIFIED_TOL}")
-    return x
-
-
-def _certify(buffer: np.ndarray, gram_diagonal: np.ndarray, lower: float,
-             image_norm) -> tuple[float, float]:
-    """`certified_norm`'s bracket from G in `buffer`'s strict upper triangle
-    and on `gram_diagonal`, a start `lower` and image_norm(x) = ||A x||."""
-    x = _starts(gram_diagonal.size, [1], buffer.dtype.kind == "c")[0]
-    upper = math.inf
-    t = lower * (1.0 + 1e-2)
-    for _ in range(INVERSE_ITERATION_CAP):
-        if _cholesky_in_place(buffer, gram_diagonal, t):
-            upper = t
-            if upper <= lower * (1.0 + CERTIFIED_TOL):
-                return lower, upper
-        elif upper == math.inf:
-            t = lower + 8.0 * (t - lower)
-            continue
-        else:
-            # the same arithmetic as the attempt that certified upper, so it succeeds
-            _cholesky_in_place(buffer, gram_diagonal, upper)
-        _substitute(buffer, x)
-        x /= np.linalg.norm(x)
-        lower = max(lower, image_norm(x))
-        if upper <= lower * (1.0 + CERTIFIED_TOL):
-            return lower, upper
-        t = lower + (upper - lower) / 8.0
-    raise ConvergenceError(
-        f"certified norm did not close within {INVERSE_ITERATION_CAP} steps", lower)
-
-
-def certified_norm(a) -> tuple[float, float]:
-    """A bracket (lower, upper) on the largest singular value of a dense
-    square matrix, with upper <= lower * (1 + CERTIFIED_TOL); (0.0, 0.0) for
-    a zero matrix.  The matrix is taken in float64 or complex128 (integer and
+def certified_toeplitz_norm(first_column) -> tuple[float, float]:
+    """A bracket (lower, upper) on the largest singular value of the
+    lower-triangular Toeplitz matrix A with the given first column, which is
+    never formed, with upper <= lower * (1 + CERTIFIED_TOL); (0.0, 0.0) for
+    a zero column.  The column is taken in float64 or complex128 (integer and
     single-precision entries are converted, since the shift below is derived
-    for double rounding); a dtype wider than those raises ValueError.
+    for double rounding); a wider or non-numeric dtype, a non-finite entry,
+    or an N whose resolution 8(N + 2)^2 eps exceeds CERTIFIED_TOL raises
+    ValueError.
 
     `lower` is ||Ax|| / ||x|| for a computed x, the lower bound
-    `operator_norm` gives, and starts at `operator_norm(a, tol=1e-4)`.
-    `upper` is certified: it is the smallest t at which a Cholesky
-    factorization of B(t) = s I - G has run to completion, where G = fl(A*A)
-    and s = fl(t^2 (1 - k)), k = (n + 2)^2 eps.  One N x N buffer holds
-    both: G stays in its strict upper triangle (its diagonal in a vector),
-    and `_cholesky_in_place` reads B from there and writes the factor L into
-    the lower triangle, so every attempt reuses the buffer and nothing is
-    rebuilt.  A step takes x = y/||y|| for y = B(upper)^-1 x, by two
-    substitutions with the factor just computed (inverse iteration on A*A,
-    shifted just above sigma_1^2), raises `lower` to ||Ax||, and tries to
-    certify t = lower + (upper - lower) / 8.  After an attempt fails, B is
-    factored at `upper` again before the step.  The first t tried is
-    lower * (1 + 1e-2), moved 8 times as far out after each failure; every
-    attempt counts as a step towards INVERSE_ITERATION_CAP.
+    `toeplitz_operator_norm` gives, and starts at
+    `toeplitz_operator_norm(first_column, tol=1e-4)`; ||Ax|| is the
+    truncated `np.convolve` of the column with x.  `upper` is certified: it
+    is the smallest t at which a Cholesky factorization of B(t) = s I - G
+    has run to completion, where G = fl(A*A) and s = fl(t^2 (1 - k)),
+    k = (n + 2)^2 eps.  One N x N buffer, the only N x N array, holds both:
+    `_gram_from_column` writes G into its strict upper triangle (its
+    diagonal into a vector), and `_cholesky_in_place` reads B from there and
+    writes the factor L into the lower triangle, so every attempt reuses the
+    buffer and nothing is rebuilt.  A step takes x = y/||y|| for
+    y = B(upper)^-1 x, by two substitutions with the factor just computed
+    (inverse iteration on A*A, shifted just above sigma_1^2), raises `lower`
+    to ||Ax||, and tries to certify t = lower + (upper - lower) / 8.  After
+    an attempt fails, B is factored at `upper` again before the step.  The
+    first t tried is lower * (1 + 1e-2), moved 8 times as far out after each
+    failure; every attempt counts as a step towards INVERSE_ITERATION_CAP.
 
     Why success at t proves t > sigma_1 (u = eps/2 is the unit roundoff,
     g = (n + 2) u / (1 - (n + 2) u), and nothing underflows or overflows):
     - G differs from A*A by at most g |A|*|A| entrywise, for real and complex
       inner products in any summation order (Higham 2002, sections 3.1 and
-      3.6), so ||G - A*A|| <= g ||A||_F^2.  The factorization reads G's
-      upper triangle and its real diagonal; the Hermitian matrix H they
-      define obeys the same bound.
+      3.6), so ||G - A*A|| <= g ||A||_F^2.  The entries of G from the column
+      are the inner products of A*A, each summed in one recursive order.  The
+      factorization reads G's upper triangle and its real diagonal; the
+      Hermitian matrix H they define obeys the same bound.
     - B's diagonal is fl(s - g_ii), within u s of s - g_ii, so B is sI - H
       plus a diagonal of norm at most u s.
     - A Cholesky factorization that runs to completion on B gives
@@ -415,45 +387,47 @@ def certified_norm(a) -> tuple[float, float]:
     8k > CERTIFIED_TOL (N > 2370) raises ValueError; where 8k <=
     CERTIFIED_TOL, the next t stays above that floor whenever the bracket is
     still open and `lower` is within k / 2 of sigma_1.
-
-    Besides `a`, one N x N array is alive while the bracket closes: the
-    buffer, filled by the one product a* a (for which a complex `a` is
-    conjugated into a temporary copy).  `certified_toeplitz_norm` builds the
-    same buffer from a Toeplitz column, without the matrix.
-    """
-    a = _certifiable(ComplexMatrix(a).entries)
-    if not np.any(a):
-        return 0.0, 0.0
-    lower = operator_norm(a, tol=1e-4)
-    buffer = a.conj().T @ a
-    gram_diagonal = buffer.diagonal().real.copy()
-    return _certify(buffer, gram_diagonal, lower,
-                    lambda x: float(np.linalg.norm(a @ x)))
-
-
-def certified_toeplitz_norm(first_column) -> tuple[float, float]:
-    """`certified_norm`'s bracket for the lower-triangular Toeplitz matrix
-    with the given first column, which is never formed: G is built from the
-    column (`_gram_from_column`), whose entries are the same inner products
-    as those of A*A, each summed in one recursive order, so the bound on
-    ||G - A*A|| and the certificate hold unchanged.  `lower` starts at
-    `toeplitz_operator_norm(first_column, tol=1e-4)` and ||Ax|| is the
-    truncated `np.convolve` of the column with x.  The buffer is the only
-    N x N array.
     """
     col = np.asarray(first_column)
     if col.ndim != 1 or col.size == 0:
         raise ValueError("first_column must be a nonempty vector")
-    col = _certifiable(col)
+    col = col.astype(np.result_type(col.dtype, np.float64), copy=False)
+    if col.dtype not in (np.float64, np.complex128):
+        raise ValueError(f"the certificate needs float64 or complex128 entries, got {col.dtype}")
+    _validate_finite(col)
+    n = col.size
+    resolution = 8.0 * (n + 2) ** 2 * _EPS
+    if resolution > CERTIFIED_TOL:
+        raise ValueError(f"N={n}: the certificate's resolution 8(N+2)^2 eps="
+                         f"{resolution} exceeds CERTIFIED_TOL={CERTIFIED_TOL}")
     if not np.any(col):
         return 0.0, 0.0
-    n = col.size
     lower = toeplitz_operator_norm(col, tol=1e-4)
     buffer = np.empty((n, n), dtype=col.dtype)
     gram_diagonal = np.empty(n)
     _gram_from_column(col, buffer, gram_diagonal)
-    return _certify(buffer, gram_diagonal, lower,
-                    lambda x: float(np.linalg.norm(np.convolve(col, x)[:n])))
+    x = _starts(n, [1], col.dtype.kind == "c")[0]
+    upper = math.inf
+    t = lower * (1.0 + 1e-2)
+    for _ in range(INVERSE_ITERATION_CAP):
+        if _cholesky_in_place(buffer, gram_diagonal, t):
+            upper = t
+            if upper <= lower * (1.0 + CERTIFIED_TOL):
+                return lower, upper
+        elif upper == math.inf:
+            t = lower + 8.0 * (t - lower)
+            continue
+        else:
+            # the same arithmetic as the attempt that certified upper, so it succeeds
+            _cholesky_in_place(buffer, gram_diagonal, upper)
+        _substitute(buffer, x)
+        x /= np.linalg.norm(x)
+        lower = max(lower, float(np.linalg.norm(np.convolve(col, x)[:n])))
+        if upper <= lower * (1.0 + CERTIFIED_TOL):
+            return lower, upper
+        t = lower + (upper - lower) / 8.0
+    raise ConvergenceError(
+        f"certified norm did not close within {INVERSE_ITERATION_CAP} steps", lower)
 
 
 def _column_norms_squared(rows: np.ndarray) -> np.ndarray:

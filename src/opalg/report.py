@@ -62,14 +62,3 @@ class ExperimentReport:
         }
         return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
 
-
-def parse_csv(data: bytes):
-    """Inverse of to_csv_bytes, for round-trip checks."""
-    lines = data.decode("utf-8").strip().split("\n")
-    if lines[0] != "label,value":
-        raise ValueError("missing label,value header")
-    rows = []
-    for line in lines[1:]:
-        label, _, value = line.rpartition(",")
-        rows.append((label, float(value)))
-    return rows

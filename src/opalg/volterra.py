@@ -19,9 +19,8 @@ norm is `sigma_max`.  Given a tol, as on `titchmarsh`'s ladder, sigma_max
 takes a grid's norm up to N = 1024 as the lower end of a bracket certified
 from the column (`numkit.certified_toeplitz_norm`), with one N x N buffer
 and no matrix.  Dense matrices appear only below sigma_max's crossover: in
-`nilpotency_check` (through `build_vf`, which tests also use), in
-sigma_max's norms without a tol and in the corner of
-`ideal_restriction_check`.
+`nilpotency_check` (through `build_vf`, which tests also use) and in
+sigma_max's norms without a tol.
 
 The claim functions `v2norm`, `littlereade`, `notell1`, `titchmarsh`,
 `muntz`, `nilpotent_density` and `unbounded_witness` are the `opalg`
@@ -37,8 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import (CERTIFIED_TOL, ComplexMatrix, cauchy, certified_toeplitz_norm,
-                     find_root, operator_norm, toeplitz_operator_norm)
+from .numkit import (CERTIFIED_TOL, ComplexMatrix, _check_tol, cauchy,
+                     certified_toeplitz_norm, find_root, operator_norm,
+                     toeplitz_operator_norm)
 from .report import ExperimentReport
 
 MAX_DENSE_DIM = 4096  # memory guard of build_vf
@@ -367,12 +367,15 @@ def notell1(*, dim: int | None = None, nmax: int = 20) -> ExperimentReport:
     (2^nmax by default): divergent l1 mass, finite operator norm."""
     m = nmax
     n = 2**m if dim is None else dim
+    tol = 1e-9
+    # from n = 2^23 on the norm cannot resolve tol: say so before the kernel takes n cells
+    _check_tol(tol, n)
     f = kernel_notell1(m, n)
     harmonic_sum = math.fsum(1.0 / k for k in range(1, m + 1))
     square_sum = 1.5 * math.fsum(1.0 / (k * k) for k in range(1, m + 1))
     l1 = f.l1_partial(1.0 - 2.0 ** (-m))
     sharp_sq = hs_norm(f) ** 2
-    sigma = toeplitz_operator_norm(f.mu, tol=1e-9, restarts=2)
+    sigma = toeplitz_operator_norm(f.mu, tol=tol, restarts=2)
     rep = ExperimentReport("notell1", {"dim": n, "nmax": m})
     rep.add("l1_partial_mass", l1)
     rep.add("harmonic_sum", harmonic_sum)
@@ -557,43 +560,6 @@ def muntz(*, dim: int = 1000, nmax: int = 12) -> ExperimentReport:
     rep.add("contradiction_margin", v2 / eps)
     rep.check("operator_discrepancy_within_bound", sigma <= eps + 5.0 / dim)
     rep.check("margin_exceeds_one", v2 / eps > 1.0)
-    return rep
-
-
-def ideal_restriction_check(f: SampledKernel, x0: float, g: SampledKernel) -> ExperimentReport:
-    """Kernels vanishing below x0 absorb products: supp(g*f) stays above x0.
-
-    Also reports the norm of the corner compression P V_f P (P projecting on
-    [0, x0]), which vanishes for members and separates non-members, and
-    checks that the compression only sees the kernel below x0.
-    """
-    n = f.grid_size
-    d = x0 * n
-    if abs(d - round(d)) > 1e-9:
-        raise ValueError(f"x0 = {x0} is not a grid point at n = {n}")
-    d = int(round(d))
-    if f.support_start < x0 - 1e-15:
-        nz = int(np.nonzero(f.mu)[0][0])
-        raise ValueError(
-            f"membership violated: cell {nz} below x0 = {x0} is nonzero")
-    conv = SampledKernel(cauchy(g.mu, f.mu))
-    rep = ExperimentReport("ideal-restriction", {"x0": x0, "dim": n})
-    rep.add("f_support_start", f.support_start)
-    rep.add("product_support_start", conv.support_start)
-    rep.check("product_stays_above_x0", conv.support_start >= x0 - 1e-15)
-    if d > 0:
-        corner = _toeplitz(f.mu)[:d, :d]
-        rep.add("compression_norm", sigma_max(f.mu[:d]))
-        # the compression reads only cells below x0: replacing f by its
-        # truncation to [0, x0] leaves the corner bitwise unchanged
-        corner_lo = _toeplitz(np.concatenate([f.mu[:d], np.zeros(n - d)]))[:d, :d]
-        rep.add("compression_equality_residual",
-                float(np.max(np.abs(corner - corner_lo))))
-        rep.check("compression_sees_only_low_cells",
-                  np.array_equal(corner, corner_lo))
-    else:
-        rep.add("compression_norm", 0.0)
-        rep.check("trivial_projection_passes", True)
     return rep
 
 

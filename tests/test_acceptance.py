@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from opalg import gauge, shift, volterra
+from opalg import gauge, numkit, shift, volterra
 from opalg.cli import ExperimentConfig, run_experiment
 from opalg.numkit import CircleGrid, operator_norm, svd_oracle
 
@@ -154,7 +154,6 @@ def test_criterion_08_ideal_machinery():
     neumann = run_experiment(ExperimentConfig("neumann", dim=32, nmax=20, seed=4040))
     worst = neumann.value("worst_relative_discrepancy")
     neumann_ok = neumann.passed
-    t = shift.build_shift(shift.harmonic_weights(32), 32)
     additive_ok = True
     for trial in range(50):
         rng = np.random.default_rng([5050, trial])
@@ -168,8 +167,14 @@ def test_criterion_08_ideal_machinery():
                 coeffs[low:] = (rng.standard_normal(degree - low)
                                 + 1j * rng.standard_normal(degree - low))
             sides.append(coeffs)
-        rep = shift.lowest_index_of_product(sides[0], sides[1], t)
-        additive_ok = additive_ok and rep.passed
+        # the truncated Cauchy product at N = 32; lowest indices of at most
+        # 4 + 4 stay below the truncation
+        r, s = sides
+        prod = numkit.cauchy(shift._series(r, 32), shift._series(s, 32))[1:]
+        j0, k0 = shift.lowest_index(r), shift.lowest_index(s)
+        lead = r[j0 - 1] * s[k0 - 1]
+        additive_ok = (additive_ok and shift.lowest_index(prod) == j0 + k0
+                       and abs(prod[j0 + k0 - 1] - lead) <= 1e-10 * abs(lead))
     ok = neumann_ok and additive_ok
     report_line(8, ok, f"neumann sums reproduce powers (worst rel err {worst:.1e}); "
                 f"lowest-index additivity on 50 pairs={additive_ok}")

@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from opalg import shift
 from opalg.cli import EXPERIMENTS, ExperimentConfig, emit_report, main, run_experiment
-from opalg.report import ExperimentReport, parse_csv
+from opalg.report import ExperimentReport
 
 
 def run_cli(*args):
@@ -56,6 +57,19 @@ class TestValidation:
         # 64 + 1100 + 1 geometric:0.5 weights: the one at index 1075 is 0.0
         assert main(["quasinilpotence", "--weights", "geometric:0.5", "--nmax", "1100"]) == 2
         assert "at most 1075 geometric weights" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("nmax", ["23", "40", "2000"])
+    def test_notell1_unresolvable_grid_rejected_before_allocating(self, nmax, capsys):
+        # the norm's tol = 1e-9 is below eps * 2^nmax from nmax = 23 on; the
+        # default grid of 2^nmax cells (8 GiB at 2^30) is never built
+        tracemalloc.start()
+        try:
+            assert main(["notell1", "--nmax", nmax]) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert "below machine resolution" in capsys.readouterr().err
 
     def test_malformed_step_piece_named(self, capsys):
         assert main(["nilpotent-density", "--kernel", "step:0,0.5"]) == 2
@@ -172,8 +186,9 @@ class TestSerialization:
         values = [1.0 / 3.0, 2.0 ** -52, 6.02e23, -0.1, 5.0]
         for i, v in enumerate(values):
             rep.add(f"row{i}", v)
-        parsed = parse_csv(rep.to_csv_bytes())
-        assert [v for _, v in parsed] == values
+        header, *lines = rep.to_csv_bytes().decode("utf-8").splitlines()
+        assert header == "label,value"
+        assert [float(line.rpartition(",")[2]) for line in lines] == values
 
     def test_json_round_trip_bitwise(self):
         rep = ExperimentReport("rt", params={"seed": 7})

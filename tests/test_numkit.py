@@ -22,7 +22,6 @@ from opalg.numkit import (
     _gram_from_column,
     _round_robin,
     _row_norms,
-    certified_norm,
     certified_toeplitz_norm,
     find_root,
     jacobi_svd,
@@ -434,8 +433,9 @@ def lapack_norm(a):
 
 def gram_cases():
     """(matrix, from_column) pairs for the certificate's mutation tests: the
-    corpus through one product A*A, and the three default `titchmarsh`
-    residuals and a complex Toeplitz matrix through both Gram builders."""
+    corpus through one dense product A*A (the shift holds for any summation
+    order), and the three default `titchmarsh` residuals and a complex
+    Toeplitz matrix through that product and through `_gram_from_column`."""
     toeplitz = [titchmarsh_residual(n) for n in (120, 240, 480)]
     rng = np.random.default_rng(9)
     toeplitz.append(_toeplitz(rng.standard_normal(90) + 1j * rng.standard_normal(90)))
@@ -449,20 +449,10 @@ class TestCertifiedNorm:
         # N = 256 is where default-tol power iteration hits its cap
         a = titchmarsh_residual(n)
         sigma = lapack_norm(a)
-        for lower, upper in (certified_norm(a), certified_toeplitz_norm(a[:, 0])):
-            assert upper <= lower * (1.0 + 1e-8)
-            assert upper >= sigma
-            assert lower <= sigma * (1.0 + 1e-14)
-
-    @pytest.mark.parametrize("tol", [1e-8, 1e-10])
-    def test_corpus_brackets_lapack(self, monkeypatch, tol):
-        monkeypatch.setattr(numkit, "CERTIFIED_TOL", tol)
-        for a in certified_corpus():
-            lower, upper = certified_norm(a)
-            sigma = lapack_norm(a)
-            assert upper <= lower * (1.0 + tol)
-            assert upper >= sigma
-            assert lower <= sigma * (1.0 + 1e-14)
+        lower, upper = certified_toeplitz_norm(a[:, 0])
+        assert upper <= lower * (1.0 + 1e-8)
+        assert upper >= sigma
+        assert lower <= sigma * (1.0 + 1e-14)
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-10])
     def test_toeplitz_columns_bracket_lapack(self, monkeypatch, tol):
@@ -475,13 +465,6 @@ class TestCertifiedNorm:
                 assert upper <= lower * (1.0 + tol)
                 assert upper >= sigma
                 assert lower <= sigma * (1.0 + 1e-14)
-
-    def test_seed_411_closes_on_lapack(self, monkeypatch):
-        # the matrix of operator_norm's strict xfail, which stays as it is
-        monkeypatch.setattr(numkit, "CERTIFIED_TOL", 1e-10)
-        a = seed_411_matrix()
-        lower, _ = certified_norm(a)
-        assert abs(lower - lapack_norm(a)) <= 1e-10 * lower
 
     @staticmethod
     def certifies(a, t, from_column):
@@ -558,26 +541,25 @@ class TestCertifiedNorm:
     @pytest.mark.parametrize("n", [1, 5])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_zero_matrix(self, n, dtype):
-        assert certified_norm(np.zeros((n, n), dtype=dtype)) == (0.0, 0.0)
+        assert certified_toeplitz_norm(np.zeros(n, dtype=dtype)) == (0.0, 0.0)
 
     def test_tol_below_resolution_rejected(self, monkeypatch):
         # the shift (N + 2)^2 eps t^2 cannot resolve a tol below 8 (N + 2)^2 eps
-        a = titchmarsh_residual(120)
+        col = titchmarsh_residual(120)[:, 0]
         resolution = 8.0 * 122**2 * np.finfo(float).eps
         monkeypatch.setattr(numkit, "CERTIFIED_TOL", 0.9 * resolution)
         with pytest.raises(ValueError, match="resolution"):
-            certified_norm(a)
+            certified_toeplitz_norm(col)
         monkeypatch.setattr(numkit, "CERTIFIED_TOL", resolution)
-        lower, upper = certified_norm(a)
+        lower, upper = certified_toeplitz_norm(col)
         assert upper <= lower * (1.0 + resolution)
 
     def test_largest_resolved_dim(self):
         # 8 (N + 2)^2 eps <= CERTIFIED_TOL = 1e-8 holds up to N = 2370; a zero
-        # matrix (a broadcast view, so nothing N x N is stored) passes the
-        # size check and returns before any arithmetic
-        assert certified_norm(np.broadcast_to(0.0, (2370, 2370))) == (0.0, 0.0)
+        # column passes the size check and returns before any N x N buffer
+        assert certified_toeplitz_norm(np.zeros(2370)) == (0.0, 0.0)
         with pytest.raises(ValueError, match="resolution"):
-            certified_norm(np.broadcast_to(0.0, (2371, 2371)))
+            certified_toeplitz_norm(np.zeros(2371))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.complex64, np.int64, np.int8, bool])
     def test_narrow_dtypes_are_certified_in_double(self, dtype):
@@ -585,33 +567,47 @@ class TestCertifiedNorm:
         # the shift's size, and an integer buffer cannot take it at all; the
         # values of all these dtypes are exact in float64 or complex128
         rng = np.random.default_rng(5)
-        a = rng.integers(-3, 4, (40, 40)).astype(dtype)
-        if np.iscomplexobj(a):
-            a += 1j * rng.standard_normal((40, 40)).astype(dtype)
-        sigma = lapack_norm(a.astype(complex))
-        lower, upper = certified_norm(a)
+        col = rng.integers(-3, 4, 40).astype(dtype)
+        if np.iscomplexobj(col):
+            col += 1j * rng.standard_normal(40).astype(dtype)
+        sigma = lapack_norm(_toeplitz(col.astype(complex)))
+        lower, upper = certified_toeplitz_norm(col)
         assert upper <= lower * (1.0 + numkit.CERTIFIED_TOL)
         assert upper >= sigma
         assert lower <= sigma * (1.0 + 1e-14)
 
-    def test_rejects_non_square_non_finite_and_wide_dtypes(self):
-        with pytest.raises(ValueError, match="square"):
-            certified_norm(np.ones((2, 3)))
-        with pytest.raises(ValueError, match="NaN"):
-            certified_norm(np.array([[1.0, np.nan], [0.0, 1.0]]))
-        with pytest.raises(ValueError, match="float64 or complex128"):
-            certified_norm(np.eye(2, dtype=np.longdouble))
-        with pytest.raises(ValueError, match="float64 or complex128"):
-            certified_norm(np.eye(2, dtype=object))
-
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(numkit, "INVERSE_ITERATION_CAP", 2)
         sigma = lapack_norm(titchmarsh_residual(120))
-        for certify, a in ((certified_norm, titchmarsh_residual(120)),
-                           (certified_toeplitz_norm, titchmarsh_residual(120)[:, 0])):
-            with pytest.raises(ConvergenceError) as info:
-                certify(a)
-            assert 0.0 < info.value.last_value <= sigma
+        with pytest.raises(ConvergenceError) as info:
+            certified_toeplitz_norm(titchmarsh_residual(120)[:, 0])
+        assert 0.0 < info.value.last_value <= sigma
+
+    def test_titchmarsh_rungs_take_the_pinned_steps(self, monkeypatch):
+        # after a failed attempt B is factored at `upper` again, so the
+        # inverse step solves with B(upper), not with the failed attempt's
+        # partial factor: the rungs take 10, 10 and 8 substitutions and 15, 16
+        # and 12 factorizations; stepping with the partial factor takes 13, 14
+        # and 12 substitutions and 14, 15 and 13 factorizations
+        counts = {}
+
+        def counted(name):
+            original = getattr(numkit, name)
+
+            def call(*args):
+                counts[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(numkit, name, call)
+
+        counted("_substitute")
+        counted("_cholesky_in_place")
+        steps = []
+        for n in (120, 240, 480):
+            counts.update(_substitute=0, _cholesky_in_place=0)
+            certified_toeplitz_norm(titchmarsh_residual(n)[:, 0])
+            steps.append((counts["_substitute"], counts["_cholesky_in_place"]))
+        assert steps == [(10, 15), (10, 16), (8, 12)]
 
     def test_column_entry_point_checks_its_input(self):
         assert certified_toeplitz_norm(np.zeros(7, dtype=complex)) == (0.0, 0.0)
@@ -626,6 +622,8 @@ class TestCertifiedNorm:
             certified_toeplitz_norm([1.0, np.inf])
         with pytest.raises(ValueError, match="float64 or complex128"):
             certified_toeplitz_norm(np.ones(3, dtype=np.longdouble))
+        with pytest.raises(ValueError, match="float64 or complex128"):
+            certified_toeplitz_norm(np.ones(3, dtype=object))
         with pytest.raises(ValueError, match="resolution"):
             certified_toeplitz_norm(np.zeros(2371))
 
@@ -633,11 +631,12 @@ class TestCertifiedNorm:
         def forbidden(*args, **kwargs):
             raise AssertionError("LAPACK factorization in the certified path")
 
+        a = titchmarsh_residual(120)
+        sigma = lapack_norm(a)
         for name in ("cholesky", "solve", "svd", "eigh", "qr"):
             monkeypatch.setattr(np.linalg, name, forbidden)
-        a = titchmarsh_residual(120)
-        assert certified_norm(a)[0] == pytest.approx(certified_toeplitz_norm(a[:, 0])[0],
-                                                     rel=1e-8)
+        lower, upper = certified_toeplitz_norm(a[:, 0])
+        assert lower <= sigma * (1.0 + 1e-14) and upper >= sigma
 
 
 class TestJacobiSvd:

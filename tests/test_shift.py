@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opalg.numkit import operator_norm
+from opalg import shift
+from opalg.numkit import cauchy, operator_norm
 from opalg.report import ExperimentReport
 from opalg.shift import (
     HARMONIC,
@@ -17,14 +18,13 @@ from opalg.shift import (
     geometric_weights,
     harmonic_weights,
     inequivalence,
+    _series,
     lowest_index,
-    lowest_index_of_product,
     equivalence,
     neumann_factor_check,
     ones_weights,
     parse_weight_spec,
     polynomial_in,
-    product,
     quasinilpotence,
     random_polynomial,
     vector_norm_at_e0,
@@ -45,6 +45,14 @@ class TestWeightSequences:
 
     def test_ones_infinite_mass(self):
         assert math.isinf(ones_weights(3).l2_sum)
+
+    def test_decreasing_up_to_the_rounding_of_moduli(self):
+        # |exp(0.3i)| rounds to 1 - eps/2 and |exp(1.1i)| to 1: unit phases
+        # count as decreasing, while a relative increase of 2e-15 does not,
+        # whatever the scale
+        assert explicit_weights(np.exp(1j * np.array([0.3, 1.1, 2.5]))).monotone_decreasing
+        for scale in (1e-20, 1.0, 1e20):
+            assert not explicit_weights([scale, scale * (1.0 + 2e-15)]).monotone_decreasing
 
     def test_zero_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -145,6 +153,13 @@ def factor_pairs(draw):
     k0 = draw(st.integers(1, n - 1 - j0))
     return (n, w, *([0j] * (low - 1) + [draw(LEAD)] + draw(st.lists(COEFF, max_size=n))
                     for low in (j0, k0)))
+
+
+def product(r, s, n):
+    """Coefficients of R S at truncation n: the truncated Cauchy product of
+    the coefficient vectors as power series, the arithmetic of
+    `neumann_factor_check`'s chain."""
+    return cauchy(_series(r, n), _series(s, n))[1:]
 
 
 def rounding_bound(n, a, b):
@@ -297,6 +312,11 @@ class TestNormEquivalence:
         with pytest.raises(ValueError, match="decreasing"):
             equivalence(dim=4, nmax=2, weights="list:1,2,3", seed=1)
 
+    def test_small_increasing_weights_refused(self):
+        # an absolute 1e-15 slack let these through at this scale
+        with pytest.raises(ValueError, match="decreasing"):
+            equivalence(dim=4, nmax=2, weights="list:1e-20,2e-20,3e-20", seed=1)
+
 
 def sequential_equivalence(*, dim=32, nmax=100, weights=HARMONIC, seed=0):
     """`equivalence` as it was before it normed its family in stacks: one
@@ -408,6 +428,21 @@ class TestQuasinilpotence:
         assert rep.flags == [("profile_decreasing", True)]
         assert rep.value("beta_02") == pytest.approx(1.0 / math.sqrt(12.0), rel=1e-14)
 
+    def test_small_increasing_profile_flagged(self, monkeypatch):
+        # weights 1e-18 (k + 1), let past the hypothesis check: beta_02
+        # exceeds beta_01 by 7.5e-3 relative but only 5e-19 absolutely, which
+        # an absolute 1e-15 slack passed
+        monkeypatch.setattr(shift, "_is_decreasing", lambda values: True)
+        spec = "list:" + ",".join(repr(1e-18 * (k + 1)) for k in range(80))
+        rep = quasinilpotence(weights=spec)
+        assert rep.value("beta_02") > rep.value("beta_01")
+        assert rep.flags == [("profile_decreasing", False)]
+
+    def test_constant_list_profile_passes(self):
+        # equal weights give an exactly constant profile, which does not increase
+        rep = quasinilpotence(weights="list:" + ",".join(["0.3"] * 80))
+        assert rep.flags == [("profile_decreasing", True)]
+
 
 class TestNeumannFactor:
     def test_telescoping_pair(self):
@@ -446,29 +481,27 @@ class TestNeumannFactor:
 
 
 class TestLowestIndexOfProduct:
-    @pytest.fixture
-    def t32(self):
-        return build_shift(harmonic_weights(32), 32)
+    """Lowest indices add under products below the truncation depth, with the
+    product of the leading coefficients there: no zero divisors."""
 
-    def test_monomials(self, t32):
-        rep = lowest_index_of_product([1.0], [1.0], t32)
-        assert rep.passed
-        assert rep.value("product_lowest_index") == 2
+    def test_monomials(self):
+        assert lowest_index(product([1.0], [1.0], 32)) == 2
 
-    def test_polynomials(self, t32):
+    def test_polynomials(self):
+        t32 = build_shift(harmonic_weights(32), 32)
         r, s = [2.0, 0.0, 1.0], [0.0, 5.0]
-        rep = lowest_index_of_product(r, s, t32)
-        assert rep.passed
-        assert rep.value("product_lowest_index") == 3
+        coeffs = product(r, s, 32)
+        assert lowest_index(coeffs) == 3
+        assert coeffs[2] == 10.0
         # the coefficient of T^3 in the operator product, read off its e_0 column
         prods = np.cumprod(t32.weights.materialized(31))
         prod = polynomial_in(t32, r) @ polynomial_in(t32, s)
         assert prod[3, 0] / prods[2] == pytest.approx(10.0, abs=1e-10)
 
     def test_truncation_guard(self):
-        t = build_shift(harmonic_weights(8), 8)
-        with pytest.raises(ValueError, match="truncation"):
-            lowest_index_of_product([0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0, 1.0], t)
+        # lowest indices 4 + 5 reach the truncation dim 8, where T^9 = 0: the
+        # product vanishes, so additivity holds only below the truncation
+        assert lowest_index(product([0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0, 1.0], 8)) is None
 
 
 class TestShiftInvariants:
@@ -523,17 +556,17 @@ class TestCoefficientAlgebra:
     def test_lowest_index_adds_as_in_the_operator_product(self, inputs):
         n, w, r, s = inputs
         t = build_shift(w, n)
-        rep = lowest_index_of_product(r, s, t)
-        assert rep.passed
-        m = int(rep.value("product_lowest_index"))
+        coeffs = product(r, s, n)
+        m = lowest_index(coeffs)
         assert m == lowest_index(r) + lowest_index(s)
+        lead = r[lowest_index(r) - 1] * s[lowest_index(s) - 1]
+        assert abs(coeffs[m - 1] - lead) <= 1e-10 * abs(lead)
         op = polynomial_in(t, r) @ polynomial_in(t, s)
         # below band m every term of an entry has a zero factor: exact zeros
         assert not np.any(np.triu(op, 1 - m))
         # band m holds the single term lead_r lead_s T^m; with the bound of
         # the homomorphism test it is nonzero wherever that term exceeds the
         # underflow slack twice over, so m is the operator's lowest band
-        lead = r[lowest_index(r) - 1] * s[lowest_index(s) - 1]
         expected = lead * np.diagonal(t.powers(m)[m - 1], -m)
         band = np.diagonal(op, -m)
         gamma, slack = rounding_bound(n, r, s)

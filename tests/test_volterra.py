@@ -15,10 +15,10 @@ from opalg.volterra import (
     SIGMA_MAX_CERTIFIED_DIM,
     SIGMA_MAX_DENSE_DIM,
     SampledKernel,
+    _toeplitz,
     _window_edges,
     build_vf,
     hs_norm,
-    ideal_restriction_check,
     kernel_constant,
     kernel_monomial,
     kernel_notell1,
@@ -502,14 +502,20 @@ class TestMuntzDemo:
 
 
 class TestIdealRestriction:
+    """The kernels vanishing below x0 form an ideal: products with a member
+    stay above x0.  The corner compression P V_f P, P projecting on [0, x0],
+    reads only the cells below x0, so it vanishes for members and separates
+    non-members."""
+
     def test_member_kernel_absorbs(self):
-        n = 100
+        n, d = 100, 50  # x0 = 0.5
         f = kernel_step([(0.5, 1.0, 1.0)], n)
         g = kernel_constant(1.0, n)
-        rep = ideal_restriction_check(f, 0.5, g)
-        assert rep.passed
-        assert rep.value("product_support_start") >= 0.5
-        assert rep.value("compression_norm") == 0.0
+        assert f.support_start >= 0.5
+        assert SampledKernel(cauchy(g.mu, f.mu)).support_start >= 0.5
+        assert sigma_max(f.mu[:d]) == 0.0
+        # the corner of V_f is the matrix of f's cells below x0 alone
+        assert np.array_equal(_toeplitz(f.mu)[:d, :d], _toeplitz(f.mu[:d]))
 
     def test_two_members_annihilate(self):
         n = 100
@@ -518,16 +524,16 @@ class TestIdealRestriction:
         assert np.all(cauchy(g.mu, f.mu) == 0.0)
 
     def test_trivial_ideal(self):
-        n = 64
-        rep = ideal_restriction_check(kernel_constant(1.0, n), 0.0,
-                                      kernel_constant(1.0, n))
-        assert rep.passed
+        # x0 = 0 is the whole algebra: a product of kernels supported from 0
+        # is supported from 0 (support starts add, as Titchmarsh's theorem says)
+        f = kernel_constant(1.0, 64)
+        assert SampledKernel(cauchy(f.mu, f.mu)).support_start == 0.0
 
     def test_nonmember_rejected(self):
-        n = 100
-        with pytest.raises(ValueError, match="membership"):
-            ideal_restriction_check(kernel_constant(1.0, n), 0.5,
-                                    kernel_constant(1.0, n))
+        n, d = 100, 50  # x0 = 0.5
+        f = kernel_constant(1.0, n)
+        assert f.support_start < 0.5
+        assert sigma_max(f.mu[:d]) > 0.0
 
 
 class TestUnboundedWitness:
