@@ -622,10 +622,19 @@ class TestCertifiedNorm:
             certified_toeplitz_norm([1.0, np.inf])
         with pytest.raises(ValueError, match="float64 or complex128"):
             certified_toeplitz_norm(np.ones(3, dtype=np.longdouble))
-        with pytest.raises(ValueError, match="float64 or complex128"):
-            certified_toeplitz_norm(np.ones(3, dtype=object))
         with pytest.raises(ValueError, match="resolution"):
             certified_toeplitz_norm(np.zeros(2371))
+
+    def test_rejects_non_square_non_finite_and_wide_dtypes(self):
+        # the column stands for a square Toeplitz matrix; a matrix is no column
+        with pytest.raises(ValueError, match="nonempty vector"):
+            certified_toeplitz_norm(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="NaN"):
+            certified_toeplitz_norm(np.array([1.0, np.nan]))
+        with pytest.raises(ValueError, match="float64 or complex128"):
+            certified_toeplitz_norm(np.ones(2, dtype=np.longdouble))
+        with pytest.raises(ValueError, match="float64 or complex128"):
+            certified_toeplitz_norm(np.ones(2, dtype=object))
 
     def test_certified_path_makes_no_lapack_call(self, monkeypatch):
         def forbidden(*args, **kwargs):
