@@ -32,6 +32,9 @@ GEOMETRIC = "geometric"
 ONES = "ones"
 EXPLICIT = "explicit"
 
+# Smallest vector norm whose square, 2^-1022, is a normal double.
+_NORM_FLOOR = 2.0**-511
+
 
 @dataclass(frozen=True)
 class WeightSequence:
@@ -182,7 +185,9 @@ def equivalence(*, dim: int = 32, nmax: int = 100, weights: str = HARMONIC,
     Requires decreasing weights with finite squared l2 mass M^2; the bound
     constant is M/|a_0|.  The polynomials are laid down and normed as stacks,
     each as many N x N matrices as one power-iteration block holds
-    (`numkit._block_rows`), so the family is never laid down whole.
+    (`numkit._block_rows`), so the family is never laid down whole.  A
+    ||S e_0|| below _NORM_FLOOR, whose square underflows, is refused before
+    its stack is normed.
     """
     if nmax < 1:
         raise ValueError("nmax must be positive")
@@ -201,7 +206,14 @@ def equivalence(*, dim: int = 32, nmax: int = 100, weights: str = HARMONIC,
     for first in range(0, nmax, chunk):
         trials = range(first, min(first + chunk, nmax))
         family = polynomial_in(t, np.stack([random_polynomial(t, seed, k) for k in trials]))
-        ratios += [nrm / vector_norm_at_e0(s) for nrm, s in zip(operator_norm(family), family)]
+        e0_norms = [vector_norm_at_e0(s) for s in family]
+        for trial, e0_norm in zip(trials, e0_norms):
+            if e0_norm < _NORM_FLOOR:
+                raise ValueError(
+                    f"||p(T) e_0|| underflows at trial {trial} ({e0_norm:.3g} < 2^-511, "
+                    f"its square below the smallest normal double): the weights are too "
+                    f"small to norm")
+        ratios += [nrm / e0_norm for nrm, e0_norm in zip(operator_norm(family), e0_norms)]
     for trial, ratio in enumerate(ratios):
         rep.add(f"ratio_{trial:03d}", ratio)
     worst = max(ratios)

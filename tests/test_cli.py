@@ -58,6 +58,14 @@ class TestValidation:
         assert main(["quasinilpotence", "--weights", "geometric:0.5", "--nmax", "1100"]) == 2
         assert "at most 1075 geometric weights" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale, code", [("1e-200", 2), ("1e-160", 2), ("1e-150", 0)])
+    def test_equivalence_e0_norm_underflow_named(self, scale, code, capsys):
+        # ||p(T) e_0|| is about |c_1| a_0: its square is 0 at 1e-200 (once a
+        # ZeroDivisionError), subnormal at 1e-160 and a normal double at 1e-150
+        weights = "list:" + ",".join([scale] * 3)
+        assert main(["equivalence", "--dim", "4", "--nmax", "3", "--weights", weights]) == code
+        assert ("||p(T) e_0|| underflows at trial 0" in capsys.readouterr().err) == (code == 2)
+
     @pytest.mark.parametrize("nmax", ["23", "40", "2000"])
     def test_notell1_unresolvable_grid_rejected_before_allocating(self, nmax, capsys):
         # the norm's tol = 1e-9 is below eps * 2^nmax from nmax = 23 on; the
