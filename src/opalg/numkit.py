@@ -619,10 +619,11 @@ def _runs(col: np.ndarray, length: int):
 
 def _run_bind(starts: list, jumps: list, n: int, rows: int, dtype):
     """`_power_iterate`'s `bind` for the run product of `toeplitz_operator_norm`
-    on blocks of at most `rows` rows; every buffer is allocated here, once."""
+    on blocks of at most `rows` rows.  Every buffer is allocated here, once;
+    a product allocates only numpy's 64 KiB buffer for the block-offset add."""
     width = math.isqrt(n)
     blocks = -(-n // width)
-    direct = blocks * width == n  # the iterate reshapes into whole blocks
+    full = (blocks - 1) * width  # the entries of the blocks before the last
     sums = np.zeros((rows, blocks * width), dtype=dtype)
     totals = np.empty((rows, blocks - 1), dtype=dtype)
     out = np.empty((rows, n), dtype=dtype)
@@ -636,15 +637,13 @@ def _run_bind(starts: list, jumps: list, n: int, rows: int, dtype):
         blocked = x.reshape(k, blocks, width)
 
         def product(v, adjoint):
-            # two-level prefix sums, of the reversed row for the adjoint
+            # two-level prefix sums, of the reversed row for the adjoint,
+            # straight from the (reversed) view into the sums, no copy; the
+            # last block may be partial, and its padding is never read
             v = v[:, ::-1] if adjoint else v
-            if direct:
-                # straight from the (reversed) view into the sums, no copy
-                np.add.accumulate(v.reshape(k, blocks, width), axis=2, out=blocked)
-            else:
-                # the padding after entry n changes no entry before it
-                x[:, :n] = v
-                np.add.accumulate(blocked, axis=2, out=blocked)
+            np.add.accumulate(v[:, :full].reshape(k, blocks - 1, width), axis=2,
+                              out=blocked[:, :-1])
+            np.add.accumulate(v[:, full:], axis=1, out=x[:, full:n])
             np.cumsum(blocked[:, :-1, -1], axis=1, out=tot)
             # each block's offset in one broadcast add (numpy's ufunc buffer, 64 KiB)
             np.add(blocked[:, 1:], tot[:, :, None], out=blocked[:, 1:])
@@ -695,8 +694,9 @@ def toeplitz_operator_norm(first_column, tol: float | None = None, restarts: int
     9 ms against 120 ms by FFT.  The sums run in two levels: the row is cut
     into nb blocks of width b = isqrt(N), each block is summed in order, and
     the running sum of the totals of the blocks before it is added to it.
-    When nb b = N the blocks are summed straight from the iterate (or its
-    reversed view), otherwise from a copy padded to nb b entries.  The sum
+    The blocks are summed straight from the iterate (or its reversed view)
+    into a buffer padded to nb b entries, the last, partial block on its
+    own; the padding is never read.  The sum
     over runs is taken _RUN_CHUNK outputs at a time, so that the chunk stays
     in cache while each run adds into it; every entry still adds its terms
     in run order, so the chunks change no bit.

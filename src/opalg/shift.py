@@ -32,8 +32,10 @@ GEOMETRIC = "geometric"
 ONES = "ones"
 EXPLICIT = "explicit"
 
-# Smallest vector norm whose square, 2^-1022, is a normal double.
-_NORM_FLOOR = 2.0**-511
+# Smallest ||S e_0|| that `equivalence` norms.  Power iteration squares the
+# entries of S*S v, about ||S||^2 >= ||S e_0||^2 in size, so from this floor on
+# their sum of squares stays above 2^-1000, clear of the subnormal range.
+_NORM_FLOOR = 2.0**-250
 
 
 @dataclass(frozen=True)
@@ -186,8 +188,8 @@ def equivalence(*, dim: int = 32, nmax: int = 100, weights: str = HARMONIC,
     constant is M/|a_0|.  The polynomials are laid down and normed as stacks,
     each as many N x N matrices as one power-iteration block holds
     (`numkit._block_rows`), so the family is never laid down whole.  A
-    ||S e_0|| below _NORM_FLOOR, whose square underflows, is refused before
-    its stack is normed.
+    ||S e_0|| below _NORM_FLOOR, where power iteration on S would underflow
+    to an unconverged ratio, is refused before its stack is normed.
     """
     if nmax < 1:
         raise ValueError("nmax must be positive")
@@ -210,9 +212,8 @@ def equivalence(*, dim: int = 32, nmax: int = 100, weights: str = HARMONIC,
         for trial, e0_norm in zip(trials, e0_norms):
             if e0_norm < _NORM_FLOOR:
                 raise ValueError(
-                    f"||p(T) e_0|| underflows at trial {trial} ({e0_norm:.3g} < 2^-511, "
-                    f"its square below the smallest normal double): the weights are too "
-                    f"small to norm")
+                    f"||p(T) e_0|| = {e0_norm:.3g} at trial {trial} is below 2^-250, where "
+                    f"power iteration on p(T) underflows: the weights are too small to norm")
         ratios += [nrm / e0_norm for nrm, e0_norm in zip(operator_norm(family), e0_norms)]
     for trial, ratio in enumerate(ratios):
         rep.add(f"ratio_{trial:03d}", ratio)

@@ -946,14 +946,14 @@ class TestToeplitzNorm:
     @pytest.mark.parametrize("kind, n, is_complex, restarts", [
         ("notell1", 1024, False, 3), ("notell1", 2**14, False, 2), ("notell1", 2**14, True, 2),
         ("notell1", 2**15, False, 2), ("steps", 317**2, False, 2), ("steps", 10**5, True, 2)],
-        ids=["real-1024-block", "real-16384", "complex-16384", "real-32768-padded",
-             "steps-100489-chunks", "complex-steps-100000-padded-chunks"])
+        ids=["real-1024-block", "real-16384", "complex-16384", "real-32768-partial-block",
+             "steps-100489-chunks", "complex-steps-100000-partial-block-chunks"])
     def test_run_blocks_equal_one_vector_oracle(self, kind, n, is_complex, restarts):
         # notell1's column has a few dozen runs; a complex multiple keeps them.
-        # 2^14 and 317^2 are perfect squares, whose prefix sums read the
-        # iterate in place; 2^15 and 10^5 are not, whose sums pad a copy.  The
-        # steps column spans four output chunks, with runs starting off the
-        # chunk edges, one just before an edge
+        # 2^14 and 317^2 are perfect squares, cut into whole prefix-sum blocks;
+        # 2^15 and 10^5 are not, and their last block is partial.  The steps
+        # column spans four output chunks, with runs starting off the chunk
+        # edges, one just before an edge
         starts = [0, 12345, 32767, 65539, 98000]
         if kind == "notell1":
             col = kernel_notell1(10, n).mu
@@ -1003,10 +1003,12 @@ class TestToeplitzNorm:
         live = 8 * blocks * width + 8 * (blocks - 1) + 24 * n
         assert live <= peak <= live + 4 * n
 
-    def test_run_prefix_sums_read_the_iterate_in_place(self):
-        # 2^16 = 256^2 cuts into whole blocks, so the prefix sums read the
-        # iterate (and, for the adjoint, its reversed view) without a copy
-        mu = kernel_notell1(12, 2**16).mu
+    @pytest.mark.parametrize("nmax", [16, 17], ids=["whole-blocks", "partial-last-block"])
+    def test_run_prefix_sums_read_the_iterate_in_place(self, nmax):
+        # 2^16 = 256^2 cuts into whole blocks, 2^17 into 362 blocks of 362 and
+        # a partial one; either way the prefix sums read the iterate (and, for
+        # the adjoint, its reversed view) without a copy
+        mu = kernel_notell1(12, 2**nmax).mu
         n = mu.size
         toeplitz_operator_norm(mu, tol=1e-9, restarts=2)
         tracemalloc.start()
@@ -1015,15 +1017,16 @@ class TestToeplitzNorm:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # A block is one row.  Live at once: the sums, the output and one unit
-        # iterate (8n bytes each), the block totals and the term buffer of one
-        # output chunk (4n bytes here).  `np.diff` before them holds 16n bytes.
-        # Half an iterate of slack covers the small transients, the 64 KiB
-        # buffer of the broadcast block-offset add among them; a copy of the
-        # iterate (8n bytes) does not fit.
+        # A block is one row.  Live at once: the padded sums, the output and
+        # one unit iterate (about 8n bytes each), the block totals and the
+        # term buffer of one output chunk (at most 4n bytes here).  `np.diff`
+        # before them holds 16n bytes.  Half an iterate of slack covers the
+        # small transients, the 64 KiB buffer of the broadcast block-offset
+        # add among them; a copy of the iterate (8n bytes) does not fit.
         width = math.isqrt(n)
-        assert width * width == n and n > numkit._RUN_CHUNK
-        live = 24 * n + 8 * (width - 1) + 8 * numkit._RUN_CHUNK
+        blocks = -(-n // width)
+        assert n >= 2 * numkit._RUN_CHUNK
+        live = 8 * blocks * width + 8 * (blocks - 1) + 16 * n + 8 * numkit._RUN_CHUNK
         assert live <= peak <= live + 4 * n
 
     @pytest.mark.parametrize("kind", ["notell1", "complex", "step"])
