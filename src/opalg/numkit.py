@@ -180,9 +180,11 @@ def _power_iterate(bind, operators, n, row_bytes, complex_start, tol, restarts,
     the block's (matvec, rmatvec) pair; it is called again, after the
     previous pair is released, whenever rows leave.  Both map a (rows, n)
     array to one row of A v (or A* w) per row, and may return a view of a
-    buffer that their next call overwrites: the core reads w = A v before it
-    calls `rmatvec`, and writes the next iterates z / ||z|| into the previous
-    iterates' buffer (into the copy of z's remaining rows when rows left).
+    buffer that their next call overwrites, or write the product into the
+    array they read: the core never reads an iterate after its product.  It
+    reads w = A v before it calls `rmatvec`, and writes the next iterates
+    z / ||z|| into the previous iterates' buffer (into the copy of z's
+    remaining rows when rows left).
     """
     _check_tol(tol, n)
     if restarts < 1:
@@ -619,49 +621,58 @@ def _runs(col: np.ndarray, length: int):
 
 def _run_bind(starts: list, jumps: list, n: int, rows: int, dtype):
     """`_power_iterate`'s `bind` for the run product of `toeplitz_operator_norm`
-    on blocks of at most `rows` rows.  Every buffer is allocated here, once;
-    a product allocates only numpy's 64 KiB buffer for the block-offset add."""
+    on blocks of at most `rows` rows.  The padded sums, the block totals and a
+    term buffer of one chunk are allocated here, once; a product writes A v
+    (or A* w) into the iterate it reads, which `_power_iterate` never reads
+    after the product, and allocates only numpy's 64 KiB buffer for the
+    block-offset add."""
     width = math.isqrt(n)
     blocks = -(-n // width)
     full = (blocks - 1) * width  # the entries of the blocks before the last
     sums = np.zeros((rows, blocks * width), dtype=dtype)
     totals = np.empty((rows, blocks - 1), dtype=dtype)
-    out = np.empty((rows, n), dtype=dtype)
     term = np.empty((rows, min(n, _RUN_CHUNK)), dtype=dtype)
+    first = starts[0] if starts else n  # the outputs before it no run reaches
     forward_runs = list(zip(starts, jumps))
     adjoint_runs = list(zip(starts, np.conj(jumps).tolist()))
 
     def bind(ops):
         k = len(ops)
-        x, tot, y, t = sums[:k], totals[:k], out[:k], term[:k]
+        x, tot, t = sums[:k], totals[:k], term[:k]
         blocked = x.reshape(k, blocks, width)
 
         def product(v, adjoint):
             # two-level prefix sums, of the reversed row for the adjoint,
             # straight from the (reversed) view into the sums, no copy; the
             # last block may be partial, and its padding is never read
-            v = v[:, ::-1] if adjoint else v
-            np.add.accumulate(v[:, :full].reshape(k, blocks - 1, width), axis=2,
+            u = v[:, ::-1] if adjoint else v
+            np.add.accumulate(u[:, :full].reshape(k, blocks - 1, width), axis=2,
                               out=blocked[:, :-1])
-            np.add.accumulate(v[:, full:], axis=1, out=x[:, full:n])
+            np.add.accumulate(u[:, full:], axis=1, out=x[:, full:n])
             np.cumsum(blocked[:, :-1, -1], axis=1, out=tot)
             # each block's offset in one broadcast add (numpy's ufunc buffer, 64 KiB)
             np.add(blocked[:, 1:], tot[:, :, None], out=blocked[:, 1:])
-            # suffix sums R = reversed prefix sums: y[j] += conj(d) R[j + s]
+            # v is read no more: y[j] = sum_r d_r S[j - s_r] goes into it, and
+            # for the adjoint, with suffix sums R = reversed prefix sums,
+            # y[j] = sum_r conj(d_r) R[j + s_r].  The first run reaches the
+            # most outputs and writes its terms there; no run reaches the rest
             s = x[:, n - 1::-1] if adjoint else x
+            (v[:, n - first:] if adjoint else v[:, :first]).fill(0.0)
             for lo in range(0, n, _RUN_CHUNK):
                 hi = min(lo + _RUN_CHUNK, n)
-                y[:, lo:hi].fill(0.0)
-                for start, d in adjoint_runs if adjoint else forward_runs:
+                for r, (start, d) in enumerate(adjoint_runs if adjoint else forward_runs):
                     # the outputs of this chunk that run `start` reaches;
                     # starts ascend, so the runs after one that misses do too
                     a, b = (lo, min(hi, n - start)) if adjoint else (max(lo, start), hi)
                     if a >= b:
                         break
                     src = s[:, a + start:b + start] if adjoint else s[:, a - start:b - start]
-                    np.multiply(src, d, out=t[:, :b - a])
-                    np.add(y[:, a:b], t[:, :b - a], out=y[:, a:b])
-            return y
+                    if r == 0:
+                        np.multiply(src, d, out=v[:, a:b])
+                    else:
+                        np.multiply(src, d, out=t[:, :b - a])
+                        np.add(v[:, a:b], t[:, :b - a], out=v[:, a:b])
+            return v
 
         return (lambda v: product(v, False)), (lambda w: product(w, True))
 
@@ -710,10 +721,13 @@ def toeplitz_operator_norm(first_column, tol: float | None = None, restarts: int
     obeys the same bound with T*.  A single `np.cumsum` has k about N + R.
     On `notell1`'s converged iterate, a product is within 5.6e-16 of a
     `np.longdouble` product in the 2-norm, the FFT's within 3.4e-16 and a
-    single cumsum's within 1.8e-14.  The sums, the output and a term buffer
-    of one chunk are allocated once, so a power step allocates nothing but
-    numpy's 64 KiB buffer for the broadcast add of the block offsets;
-    `matvec` and `rmatvec` return views of the output buffer.
+    single cumsum's within 1.8e-14.  The padded sums, the block totals and a
+    term buffer of one chunk are allocated once, and a product writes its
+    result into the iterate it read, once the sums hold all it needs: in each
+    chunk the first run that reaches it writes d_r S there, and only the
+    outputs no run reaches are zero-filled.  So a power step allocates
+    nothing but numpy's 64 KiB buffer for the broadcast add of the block
+    offsets, and holds no output buffer beside the iterate.
 
     FFT product.  A causal convolution at a power-of-two length L of at
     least 2N, O(N log N) per product: a real column takes the half-spectrum

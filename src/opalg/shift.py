@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import _EPS, _block_rows, cauchy, operator_norm
+from .numkit import _EPS, _block_rows, _row_norms, cauchy, operator_norm
 from .report import ExperimentReport
 
 HARMONIC = "harmonic"
@@ -32,23 +32,26 @@ GEOMETRIC = "geometric"
 ONES = "ones"
 EXPLICIT = "explicit"
 
-# Smallest ||S e_0|| that `equivalence` norms.  Power iteration squares the
-# entries of S*S v, about ||S||^2 >= ||S e_0||^2 in size, so from this floor on
-# their sum of squares stays above 2^-1000, clear of the subnormal range.
+# Smallest ||S e_0|| and largest Frobenius norm ||S||_F that `equivalence`
+# norms.  Power iteration squares the entries of S*S v, about ||S||^2 in size,
+# with ||S e_0|| <= ||S|| <= ||S||_F, so between the two their sum of squares
+# stays above 2^-1000, clear of the subnormal range, and below 2^1000 times
+# the dimension, clear of overflow.
 _NORM_FLOOR = 2.0**-250
+_NORM_CEILING = 2.0**250
 
 
 @dataclass(frozen=True)
 class WeightSequence:
     """A materialized prefix of the shift weights plus family metadata.
 
-    l2_sum is the squared l2 mass of the *full* family (closed form for the
-    named families, the prefix sum for explicit lists, inf for ones).
+    l2_mass is the l2 norm M of the *full* family (closed form for the named
+    families, the prefix's norm for explicit lists, inf for ones).
     """
 
     family: str
     values: np.ndarray
-    l2_sum: float
+    l2_mass: float
     monotone_decreasing: bool
 
     def __post_init__(self):
@@ -82,14 +85,14 @@ def _is_decreasing(values) -> bool:
 
 def harmonic_weights(count: int) -> WeightSequence:
     vals = 1.0 / (np.arange(count) + 1.0)
-    return WeightSequence(HARMONIC, vals, math.pi**2 / 6.0, True)
+    return WeightSequence(HARMONIC, vals, math.sqrt(math.pi**2 / 6.0), True)
 
 
 def geometric_weights(r: float, count: int) -> WeightSequence:
     if not 0.0 < r < 1.0:
         raise ValueError("geometric ratio must lie in (0, 1)")
     vals = r ** np.arange(count)
-    return WeightSequence(GEOMETRIC, vals, 1.0 / (1.0 - r * r), True)
+    return WeightSequence(GEOMETRIC, vals, math.sqrt(1.0 / (1.0 - r * r)), True)
 
 
 def ones_weights(count: int) -> WeightSequence:
@@ -97,8 +100,15 @@ def ones_weights(count: int) -> WeightSequence:
 
 
 def explicit_weights(values) -> WeightSequence:
+    """M = sqrt(sum |a_k|^2), summed with the moduli scaled by the power of
+    two 2^-e that brings the largest into [1/2, 1): no square overflows, and
+    wherever none of the unscaled ones over- or underflows, M has the bits of
+    the unscaled sum's root, the scaling by 4^-e being exact."""
     vals = np.asarray(values, dtype=complex)
-    return WeightSequence(EXPLICIT, vals, float(np.sum(np.abs(vals) ** 2)),
+    mags = np.abs(vals)
+    _, e = math.frexp(float(np.max(mags, initial=0.0)))
+    return WeightSequence(EXPLICIT, vals,
+                          math.ldexp(math.sqrt(float(np.sum(np.ldexp(mags, -e) ** 2))), e),
                           _is_decreasing(vals))
 
 
@@ -189,7 +199,8 @@ def equivalence(*, dim: int = 32, nmax: int = 100, weights: str = HARMONIC,
     each as many N x N matrices as one power-iteration block holds
     (`numkit._block_rows`), so the family is never laid down whole.  A
     ||S e_0|| below _NORM_FLOOR, where power iteration on S would underflow
-    to an unconverged ratio, is refused before its stack is normed.
+    to an unconverged ratio, or an ||S||_F above _NORM_CEILING, where it would
+    overflow, is refused before its stack is normed.
     """
     if nmax < 1:
         raise ValueError("nmax must be positive")
@@ -197,9 +208,9 @@ def equivalence(*, dim: int = 32, nmax: int = 100, weights: str = HARMONIC,
     w = t.weights
     if not w.monotone_decreasing:
         raise ValueError("hypothesis violated: weights are not decreasing")
-    if not math.isfinite(w.l2_sum):
+    if not math.isfinite(w.l2_mass):
         raise ValueError("hypothesis violated: squared l2 mass of the weights is infinite")
-    bound = math.sqrt(w.l2_sum) / abs(complex(w.values[0]))
+    bound = w.l2_mass / abs(complex(w.values[0]))
     rep = ExperimentReport("norm-equivalence",
                            {"dim": dim, "nmax": nmax, "weights": weights})
     rep.add("bound_constant", bound)
@@ -207,9 +218,16 @@ def equivalence(*, dim: int = 32, nmax: int = 100, weights: str = HARMONIC,
     chunk = _block_rows(16 * dim * dim)
     for first in range(0, nmax, chunk):
         trials = range(first, min(first + chunk, nmax))
-        family = polynomial_in(t, np.stack([random_polynomial(t, seed, k) for k in trials]))
-        e0_norms = [vector_norm_at_e0(s) for s in family]
-        for trial, e0_norm in zip(trials, e0_norms):
+        # an overflow reads inf or nan here, and the ceiling refuses it below
+        with np.errstate(over="ignore", invalid="ignore"):
+            family = polynomial_in(t, np.stack([random_polynomial(t, seed, k) for k in trials]))
+            e0_norms = [vector_norm_at_e0(s) for s in family]
+            frobenius = _row_norms(family.reshape(len(family), -1))
+        for trial, e0_norm, fro in zip(trials, e0_norms, frobenius):
+            if not fro <= _NORM_CEILING:
+                raise ValueError(
+                    f"||p(T)||_F at trial {trial} is above 2^250 (it reads {fro:.3g}), where "
+                    f"power iteration on p(T) overflows: the weights are too large to norm")
             if e0_norm < _NORM_FLOOR:
                 raise ValueError(
                     f"||p(T) e_0|| = {e0_norm:.3g} at trial {trial} is below 2^-250, where "

@@ -30,6 +30,7 @@ reads, with its defaults.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -114,19 +115,36 @@ def _window_edges(n: int):
 
 def _overlaps(pieces, n: int):
     """For each sorted, disjoint piece (a, b, v): the slice of the cells whose
-    window meets [a, b), v, and the ends of those overlaps.
+    window meets [a, b), v, and the ends (lo, hi) of those overlaps, as views
+    of two buffers that the next piece rewrites and the caller may overwrite.
 
     The windows are sorted, so the cells whose window meets [a, b) are the
     slice from the first window ending after a to the last one starting
     before b.  Every overlap in it has positive length; every cell outside
-    it would only receive an exact zero.
+    it would only receive an exact zero.  The slice ends are found by
+    bisecting the closed-form edges of `_window_edges`, the same floats, and
+    the edges are laid down for the slice's own cells only.
     """
-    edges_lo, edges_hi = _window_edges(n)
-    starts = np.searchsorted(edges_hi, [a for a, _, _ in pieces], side="right")
-    stops = np.searchsorted(edges_lo, [b for _, b, _ in pieces], side="left")
-    for (a, b, v), i, j in zip(pieces, starts, stops):
-        cells = slice(i, j)
-        yield cells, v, np.maximum(edges_lo[cells], a), np.minimum(edges_hi[cells], b)
+    h = 1.0 / n
+    cells = range(n)
+    ends = [(bisect.bisect_right(cells, a, key=lambda k: (k + 0.5) * h),
+             bisect.bisect_left(cells, b, key=lambda k: max(0.0, (k - 0.5) * h)))
+            for a, b, _ in pieces]
+    size = max((j - i for i, j in ends), default=0)
+    lo_buffer, hi_buffer = np.empty(size), np.empty(size)
+    for (a, b, v), (i, j) in zip(pieces, ends):
+        lo, hi = lo_buffer[:j - i], hi_buffer[:j - i]
+        # hi = k + 1/2 for the cells k = i, ..., j - 1, exactly: i - 1/2 plus 1, 2, ...
+        hi.fill(1.0)
+        np.cumsum(hi, out=hi)
+        hi += i - 0.5
+        np.subtract(hi, 1.0, out=lo)
+        lo *= h
+        hi *= h
+        np.maximum(lo, 0.0, out=lo)
+        np.maximum(lo, a, out=lo)
+        np.minimum(hi, b, out=hi)
+        yield slice(i, j), v, lo, hi
 
 
 def kernel_from_antiderivative(F, n: int) -> SampledKernel:
@@ -154,7 +172,9 @@ def kernel_step(pieces, n: int) -> SampledKernel:
             raise ValueError("overlapping pieces")
     mu = np.zeros(n)
     for cells, v, lo, hi in _overlaps(cleaned, n):
-        mu[cells] += v * (hi - lo)
+        hi -= lo
+        hi *= v
+        mu[cells] += hi
     return SampledKernel(mu, tuple(cleaned))
 
 
@@ -291,8 +311,14 @@ def hs_norm(f: SampledKernel) -> float:
         raise ValueError("hs_norm needs a kernel with pieces")
     sharp = np.zeros(f.grid_size)
     for cells, v, lo, hi in _overlaps(f.pieces, f.grid_size):
-        # exact integral of v^2 (1 - t) over each overlap
-        sharp[cells] += v * v * ((1.0 - lo) ** 2 - (1.0 - hi) ** 2) / 2.0
+        # exact integral of v^2 (1 - t) over each overlap, in place in lo
+        for t in (lo, hi):
+            np.subtract(1.0, t, out=t)
+            np.square(t, out=t)
+        lo -= hi
+        lo *= v * v
+        lo /= 2.0
+        sharp[cells] += lo
     return math.sqrt(float(np.sum(sharp)))
 
 

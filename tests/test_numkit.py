@@ -945,20 +945,31 @@ class TestToeplitzNorm:
 
     @pytest.mark.parametrize("kind, n, is_complex, restarts", [
         ("notell1", 1024, False, 3), ("notell1", 2**14, False, 2), ("notell1", 2**14, True, 2),
-        ("notell1", 2**15, False, 2), ("steps", 317**2, False, 2), ("steps", 10**5, True, 2)],
+        ("notell1", 2**15, False, 2), ("steps", 317**2, False, 2), ("steps", 10**5, True, 2),
+        ("zero-led", 10**5, False, 2), ("zero-led", 10**5, True, 2)],
         ids=["real-1024-block", "real-16384", "complex-16384", "real-32768-partial-block",
-             "steps-100489-chunks", "complex-steps-100000-partial-block-chunks"])
+             "steps-100489-chunks", "complex-steps-100000-partial-block-chunks",
+             "zero-led-100000", "complex-zero-led-100000"])
     def test_run_blocks_equal_one_vector_oracle(self, kind, n, is_complex, restarts):
         # notell1's column has a few dozen runs; a complex multiple keeps them.
         # 2^14 and 317^2 are perfect squares, cut into whole prefix-sum blocks;
         # 2^15 and 10^5 are not, and their last block is partial.  The steps
         # column spans four output chunks, with runs starting off the chunk
-        # edges, one just before an edge
+        # edges, one just before an edge.  The zero-led column's first run
+        # starts past a whole chunk: no run reaches the first forward chunk
+        # nor the adjoint's chunks past n - 40000, which a product writes into
+        # the iterate as zeros, and the chunks the first run enters part way
+        # are zero on the part it misses
         starts = [0, 12345, 32767, 65539, 98000]
         if kind == "notell1":
             col = kernel_notell1(10, n).mu
-        else:
+        elif kind == "steps":
             col = np.repeat([1.0, -0.5, 2.0, 0.25, -1.5], np.diff(starts + [n]))
+        else:
+            starts = [40000, 65539, 98000]
+            col = np.repeat([0.0, 1.0, -0.5, 2.0], np.diff([0] + starts + [n]))
+            assert starts[0] > numkit._RUN_CHUNK and n - starts[0] < 2 * numkit._RUN_CHUNK
+        if kind != "notell1":
             assert n > 3 * numkit._RUN_CHUNK
         col = col * ((0.6 + 0.8j) if is_complex else 1.0)
         runs = numkit._runs(col, fft_length(n))
@@ -994,13 +1005,15 @@ class TestToeplitzNorm:
         finally:
             tracemalloc.stop()
         # A block is one row.  Live at once: the padded sums (blocks of
-        # isqrt(n) entries), the block totals, the output and term buffers
-        # (8n bytes each) and one unit iterate (8n bytes).  `np.diff` before
-        # them holds 16n bytes.  Half an iterate of slack covers the small
-        # transients; one more 8n array per step does not fit.
+        # isqrt(n) entries), the block totals, the term buffer of one output
+        # chunk (8n bytes here) and one unit iterate (8n bytes), which the
+        # products write into.  `np.diff` before them holds 16n bytes.  Half
+        # an iterate of slack covers the small transients; an output buffer
+        # beside the iterate, or one more 8n array per step, does not fit.
         width = math.isqrt(n)
         blocks = -(-n // width)
-        live = 8 * blocks * width + 8 * (blocks - 1) + 24 * n
+        assert n == numkit._RUN_CHUNK
+        live = 8 * blocks * width + 8 * (blocks - 1) + 8 * n + 8 * numkit._RUN_CHUNK
         assert live <= peak <= live + 4 * n
 
     @pytest.mark.parametrize("nmax", [16, 17], ids=["whole-blocks", "partial-last-block"])
@@ -1017,16 +1030,17 @@ class TestToeplitzNorm:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # A block is one row.  Live at once: the padded sums, the output and
-        # one unit iterate (about 8n bytes each), the block totals and the
-        # term buffer of one output chunk (at most 4n bytes here).  `np.diff`
-        # before them holds 16n bytes.  Half an iterate of slack covers the
-        # small transients, the 64 KiB buffer of the broadcast block-offset
-        # add among them; a copy of the iterate (8n bytes) does not fit.
+        # A block is one row.  Live at once: the padded sums and one unit
+        # iterate (about 8n bytes each), which the products write into, the
+        # block totals and the term buffer of one output chunk (at most 4n
+        # bytes here).  `np.diff` before them holds 16n bytes.  Half an
+        # iterate of slack covers the small transients, the 64 KiB buffer of
+        # the broadcast block-offset add among them; a copy of the iterate,
+        # or an output buffer beside it (8n bytes), does not fit.
         width = math.isqrt(n)
         blocks = -(-n // width)
         assert n >= 2 * numkit._RUN_CHUNK
-        live = 8 * blocks * width + 8 * (blocks - 1) + 16 * n + 8 * numkit._RUN_CHUNK
+        live = 8 * blocks * width + 8 * (blocks - 1) + 8 * n + 8 * numkit._RUN_CHUNK
         assert live <= peak <= live + 4 * n
 
     @pytest.mark.parametrize("kind", ["notell1", "complex", "step"])
@@ -1061,7 +1075,8 @@ class TestToeplitzNorm:
                 scale[start:] += np.abs(jump) * abs_sums[:n - start]
             if adjoint:
                 exact, scale = exact[::-1], scale[::-1]
-            got = product(v[None])[0].astype(wide)
+            # a product writes its result into the iterate it reads
+            got = product(v[None].copy())[0].astype(wide)
             err = np.abs(got - exact)
             assert np.all(err <= (gamma + ref_err) * scale)
             assert np.max(err) > 0.0  # the bound is tested, not an exact match

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opalg import shift
+from opalg.cli import main
 from opalg.numkit import cauchy, operator_norm
 from opalg.report import ExperimentReport
 from opalg.shift import (
@@ -35,16 +36,16 @@ class TestWeightSequences:
     def test_harmonic(self):
         w = harmonic_weights(4)
         assert np.allclose(w.values, [1.0, 0.5, 1.0 / 3.0, 0.25])
-        assert w.l2_sum == pytest.approx(math.pi**2 / 6.0)
+        assert w.l2_mass**2 == pytest.approx(math.pi**2 / 6.0)
         assert w.monotone_decreasing
 
     def test_geometric(self):
         w = geometric_weights(0.5, 4)
         assert np.allclose(w.values, [1.0, 0.5, 0.25, 0.125])
-        assert w.l2_sum == pytest.approx(4.0 / 3.0)
+        assert w.l2_mass**2 == pytest.approx(4.0 / 3.0)
 
     def test_ones_infinite_mass(self):
-        assert math.isinf(ones_weights(3).l2_sum)
+        assert math.isinf(ones_weights(3).l2_mass)
 
     def test_decreasing_up_to_the_rounding_of_moduli(self):
         # |exp(0.3i)| rounds to 1 - eps/2 and |exp(1.1i)| to 1: unit phases
@@ -308,6 +309,36 @@ class TestNormEquivalence:
         with pytest.raises(ValueError, match="infinite"):
             equivalence(dim=8, nmax=2, weights="ones", seed=1)
 
+    @settings(deadline=None, derandomize=True, max_examples=50)
+    @given(st.lists(st.floats(1e-100, 1e100), min_size=1, max_size=40), st.booleans())
+    def test_explicit_mass_has_the_unscaled_root_bits(self, mags, signed):
+        # scaling by a power of two changes no bit where no square over- or underflows
+        vals = np.array(mags) * (np.where(np.arange(len(mags)) % 2, -1.0, 1.0) if signed else 1.0)
+        assert explicit_weights(vals).l2_mass == math.sqrt(float(np.sum(np.abs(vals) ** 2)))
+
+    @pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+    def test_explicit_mass_at_extreme_scales(self, scale, capsys):
+        # M = sqrt(sum |a_k|^2) no longer overflows (or underflows): the bound
+        # constant M/|a_0| of equal weights is list:1,1,1's, sqrt(3), within
+        # an ulp or two at any scale
+        w = parse_weight_spec("list:" + ",".join([scale] * 3), 3)
+        assert w.l2_mass / abs(complex(w.values[0])) == pytest.approx(math.sqrt(3.0),
+                                                                      rel=4e-16)
+        # p(T) still holds a_0 a_1 = 1e400 at 1e200 (1e-400 at 1e-200), past
+        # the float range: the command names the overflow (or the underflow)
+        assert main(["equivalence", "--dim", "4", "--nmax", "3", "--weights",
+                     "list:" + ",".join([scale] * 3)]) == 2
+        side = "overflows" if scale == "1e200" else "underflows"
+        assert f"where power iteration on p(T) {side}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", ["1e60", "1e100"])
+    def test_equivalence_norm_overflow_named(self, scale, capsys):
+        # the squared mass is finite here, but ||p(T)|| is about a^3 > 2^250;
+        # power iteration once ran 100,000 steps on nan iterates instead
+        assert main(["equivalence", "--dim", "4", "--nmax", "3", "--weights",
+                     "list:" + ",".join([scale] * 3)]) == 2
+        assert "where power iteration on p(T) overflows" in capsys.readouterr().err
+
     def test_increasing_weights_refused(self):
         with pytest.raises(ValueError, match="decreasing"):
             equivalence(dim=4, nmax=2, weights="list:1,2,3", seed=1)
@@ -325,9 +356,9 @@ def sequential_equivalence(*, dim=32, nmax=100, weights=HARMONIC, seed=0):
     w = t.weights
     if not w.monotone_decreasing:
         raise ValueError("hypothesis violated: weights are not decreasing")
-    if not math.isfinite(w.l2_sum):
+    if not math.isfinite(w.l2_mass):
         raise ValueError("hypothesis violated: squared l2 mass of the weights is infinite")
-    bound = math.sqrt(w.l2_sum) / abs(complex(w.values[0]))
+    bound = w.l2_mass / abs(complex(w.values[0]))
     rep = ExperimentReport("norm-equivalence",
                            {"dim": dim, "nmax": nmax, "weights": weights})
     rep.add("bound_constant", bound)

@@ -15,6 +15,7 @@ from opalg.volterra import (
     SIGMA_MAX_CERTIFIED_DIM,
     SIGMA_MAX_DENSE_DIM,
     SampledKernel,
+    _overlaps,
     _toeplitz,
     _window_edges,
     build_vf,
@@ -91,6 +92,58 @@ class TestKernelStep:
         mu, sharp = kernel_step_reference(pieces, n)
         assert np.array_equal(f.mu, mu)
         assert hs_norm(f) == math.sqrt(float(np.sum(sharp)))
+
+
+@st.composite
+def edge_pieces(draw):
+    """A grid size n (powers of two and others, 1 to 4096) and 1-6 sorted,
+    disjoint pieces whose ends lie on window edges (k +- 1/2) h, one float
+    beside them, anywhere, or inside one window, with 0 and 1 among the
+    candidates."""
+    n = draw(st.one_of(st.sampled_from([1, 2, 3, 1000, 1024, 2**12, 4095]),
+                       st.integers(1, 4096)))
+    h = 1.0 / n
+    edge = st.integers(0, n).map(lambda k: (k - 0.5) * h if k else 0.0)
+    beside = st.tuples(edge, st.sampled_from([0.0, 1.0])).map(lambda e: np.nextafter(*e))
+    inside = st.tuples(st.integers(0, n - 1), st.floats(0.0, 1.0)).map(
+        lambda kf: (kf[0] + kf[1]) * h)
+    point = st.one_of(edge, beside, inside, st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0]))
+    cuts = sorted({min(1.0, max(0.0, float(c)))
+                   for c in draw(st.lists(point, min_size=2, max_size=12))})
+    assume(len(cuts) >= 2)
+    intervals = list(zip(cuts, cuts[1:]))
+    kept = sorted(draw(st.lists(st.sampled_from(intervals), min_size=1, max_size=6,
+                                unique=True)))
+    return n, [(a, b, float(i)) for i, (a, b) in enumerate(kept)]
+
+
+class TestOverlaps:
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(edge_pieces())
+    def test_match_searchsorted_over_window_edges(self, inputs):
+        # the slices and the bits of (lo, hi) the full-grid edge arrays give
+        n, pieces = inputs
+        edges_lo, edges_hi = _window_edges(n)
+        starts = np.searchsorted(edges_hi, [a for a, _, _ in pieces], side="right")
+        stops = np.searchsorted(edges_lo, [b for _, b, _ in pieces], side="left")
+        # lo and hi are views that the next piece rewrites: compare each in turn
+        seen = 0
+        for (cells, v, lo, hi), (a, b, value), i, j in zip(_overlaps(pieces, n), pieces,
+                                                            starts, stops):
+            assert (cells, v) == (slice(int(i), int(j)), value)
+            assert lo.tobytes() == np.maximum(edges_lo[cells], a).tobytes()
+            assert hi.tobytes() == np.minimum(edges_hi[cells], b).tobytes()
+            seen += 1
+        assert seen == len(pieces)
+
+    def test_whole_interval_and_one_window(self):
+        n = 1000
+        (cells, _, lo, hi), = _overlaps([(0.0, 1.0, 1.0)], n)
+        # the last window stops at 1 - h/2
+        assert cells == slice(0, n) and (lo[0], hi[-1]) == (0.0, (n - 0.5) / n)
+        # a piece inside window 7 meets that window alone
+        (cells, _, lo, hi), = _overlaps([(7.1 / n, 7.3 / n, 1.0)], n)
+        assert cells == slice(7, 8) and (lo[0], hi[0]) == (7.1 / n, 7.3 / n)
 
 
 class TestBuildVf:
@@ -280,6 +333,28 @@ class TestNotell1:
     def test_sharp_mass_approaches_quarter_pi_squared(self):
         f = kernel_notell1(10, 1024)
         assert abs(hs_norm(f) ** 2 - math.pi**2 / 4.0) < 0.15
+
+    def test_kernel_and_hs_norm_hold_no_full_grid_edges(self):
+        # Live at once: the cells (or hs_norm's per-cell masses) and the two
+        # overlap buffers, each as long as the largest piece, n/2 + 1 cells:
+        # about two grid arrays of 8n bytes.  The full-grid window edges
+        # (two more) or a temporary per piece do not fit in 2.5.
+        n = 2**16
+        kernel_notell1(16, n)
+        tracemalloc.start()
+        try:
+            f = kernel_notell1(16, n)
+            kernel_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tracemalloc.start()
+        try:
+            hs_norm(f)
+            hs_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 16 * n <= kernel_peak <= 2.5 * 8 * n
+        assert 16 * n <= hs_peak <= 2.5 * 8 * n
 
 
 class TestV2Exact:
