@@ -95,6 +95,15 @@ class TestValidation:
         assert main(["nilpotent-density", "--kernel", "step:0,0.5"]) == 2
         assert "step piece '0,0.5' is not of the form a,b,v" in capsys.readouterr().err
 
+    def test_overlapping_step_pieces_rejected(self, capsys):
+        # the second piece starts one float below the first one's end: the
+        # sliver would count twice in cell 100
+        assert main(["nilpotent-density", "--kernel",
+                     "step:0,0.5,1;0.49999999999999994,1,1"]) == 2
+        assert "overlap" in capsys.readouterr().err
+        # touching pieces are disjoint
+        assert main(["nilpotent-density", "--kernel", "step:0,0.5,1;0.5,1,1"]) == 0
+
     def test_quasinilpotence_increasing_list_rejected(self, capsys):
         # beta_n reads the sup at k = 0 only for decreasing weights; an
         # increasing list would pass vacuously with no flag at all

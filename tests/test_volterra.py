@@ -3,19 +3,19 @@
 import functools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from opalg import volterra
+from opalg import numkit, volterra
 from opalg.numkit import cauchy, operator_norm, toeplitz_operator_norm
 from opalg.volterra import (
     SIGMA_MAX_CERTIFIED_DIM,
     SIGMA_MAX_DENSE_DIM,
     SampledKernel,
-    _overlaps,
     _toeplitz,
     _window_edges,
     build_vf,
@@ -40,19 +40,27 @@ from opalg.volterra import (
 )
 
 
-def kernel_step_reference(pieces, n):
-    """kernel_step's cells and Hilbert-Schmidt cells with every piece swept
-    over all n cells."""
+def window_overlap_cells(pieces, n):
+    """v times the length of [a, b) within each window, every piece swept
+    over all n cells and added in sorted order."""
     edges_lo, edges_hi = _window_edges(n)
-    mu, sharp = np.zeros(n), np.zeros(n)
+    mu = np.zeros(n)
     for a, b, v in sorted(pieces):
-        lo = np.maximum(edges_lo, a)
-        hi = np.minimum(edges_hi, b)
-        length = np.maximum(0.0, hi - lo)
-        mu += v * length
-        sharp += np.where(length > 0.0,
-                          v * v * ((1.0 - lo) ** 2 - (1.0 - hi) ** 2) / 2.0, 0.0)
-    return mu, sharp
+        mu += v * np.maximum(0.0, np.minimum(edges_hi, b) - np.maximum(edges_lo, a))
+    return mu
+
+
+def kernel_step_reference(pieces, n):
+    """kernel_step's cells with every piece swept over all n cells: v h on a
+    window inside [a, b) (v h/2 on cell 0's), the window overlap elsewhere."""
+    edges_lo, edges_hi = _window_edges(n)
+    h = 1.0 / n
+    whole = np.where(np.arange(n) == 0, h / 2.0, h)
+    mu = np.zeros(n)
+    for a, b, v in sorted(pieces):
+        inside = (edges_lo >= a) & (edges_hi <= b)
+        mu += np.where(inside, v * whole, window_overlap_cells([(a, b, v)], n))
+    return mu
 
 
 @st.composite
@@ -83,17 +91,6 @@ def step_inputs(draw, max_n=512):
     return n, draw(step_pieces(n))
 
 
-class TestKernelStep:
-    @settings(deadline=None, derandomize=True)
-    @given(step_inputs())
-    def test_matches_all_cells_reference(self, inputs):
-        n, pieces = inputs
-        f = kernel_step(pieces, n)
-        mu, sharp = kernel_step_reference(pieces, n)
-        assert np.array_equal(f.mu, mu)
-        assert hs_norm(f) == math.sqrt(float(np.sum(sharp)))
-
-
 @st.composite
 def edge_pieces(draw):
     """A grid size n (powers of two and others, 1 to 4096) and 1-6 sorted,
@@ -117,33 +114,52 @@ def edge_pieces(draw):
     return n, [(a, b, float(i)) for i, (a, b) in enumerate(kept)]
 
 
-class TestOverlaps:
+class TestKernelStep:
+    @settings(deadline=None, derandomize=True)
+    @given(step_inputs())
+    def test_matches_all_cells_reference(self, inputs):
+        n, pieces = inputs
+        assert np.array_equal(kernel_step(pieces, n).mu, kernel_step_reference(pieces, n))
+
     @settings(deadline=None, derandomize=True, max_examples=300)
     @given(edge_pieces())
-    def test_match_searchsorted_over_window_edges(self, inputs):
-        # the slices and the bits of (lo, hi) the full-grid edge arrays give
+    def test_matches_all_cells_reference_over_window_edges(self, inputs):
         n, pieces = inputs
-        edges_lo, edges_hi = _window_edges(n)
-        starts = np.searchsorted(edges_hi, [a for a, _, _ in pieces], side="right")
-        stops = np.searchsorted(edges_lo, [b for _, b, _ in pieces], side="left")
-        # lo and hi are views that the next piece rewrites: compare each in turn
-        seen = 0
-        for (cells, v, lo, hi), (a, b, value), i, j in zip(_overlaps(pieces, n), pieces,
-                                                            starts, stops):
-            assert (cells, v) == (slice(int(i), int(j)), value)
-            assert lo.tobytes() == np.maximum(edges_lo[cells], a).tobytes()
-            assert hi.tobytes() == np.minimum(edges_hi[cells], b).tobytes()
-            seen += 1
-        assert seen == len(pieces)
+        assert np.array_equal(kernel_step(pieces, n).mu, kernel_step_reference(pieces, n))
+
+    def test_cells_inside_a_piece_are_one_float(self):
+        # per-cell edges (k +- 1/2) h gave 12 distinct values here, and 37 jumps
+        # below; a 1000-cell norm's FFT length is 2048
+        mu = kernel_constant(1.0, 1000).mu
+        assert set(mu.tolist()) == {0.5 / 1000, 1.0 / 1000}
+        assert numkit._runs(mu, 2048) == ([0, 1], [0.5 / 1000, 0.5 / 1000])
+        mu = kernel_step([(0.0, 0.5, 1.0)], 200).mu
+        assert np.count_nonzero(np.diff(mu, prepend=0)) == 4
 
     def test_whole_interval_and_one_window(self):
         n = 1000
-        (cells, _, lo, hi), = _overlaps([(0.0, 1.0, 1.0)], n)
-        # the last window stops at 1 - h/2
-        assert cells == slice(0, n) and (lo[0], hi[-1]) == (0.0, (n - 0.5) / n)
+        # the last window stops at 1 - h/2, inside [0, 1): a whole window
+        assert kernel_step([(0.0, 1.0, 1.0)], n).mu[-1] == 1.0 / n
         # a piece inside window 7 meets that window alone
-        (cells, _, lo, hi), = _overlaps([(7.1 / n, 7.3 / n, 1.0)], n)
-        assert cells == slice(7, 8) and (lo[0], hi[0]) == (7.1 / n, 7.3 / n)
+        mu = kernel_step([(7.1 / n, 7.3 / n, 1.0)], n).mu
+        assert np.flatnonzero(mu).tolist() == [7] and mu[7] == 7.3 / n - 7.1 / n
+
+    @pytest.mark.parametrize("m, n", [(1, 2), (3, 8), (5, 1024), (12, 4096), (16, 2**16)])
+    def test_notell1_cells_are_the_window_overlaps(self, m, n):
+        # grid-aligned pieces on a power-of-two grid: v h is each whole
+        # window's overlap, bit for bit
+        f = kernel_notell1(m, n)
+        assert f.mu.tobytes() == window_overlap_cells(f.pieces, n).tobytes()
+
+    @pytest.mark.parametrize("pieces", [[(0.0, 0.5, 1.0), (0.49999999999999994, 1.0, 1.0)],
+                                        [(0.2, 0.6, 1.0), (0.3, 0.4, 2.0)]])
+    def test_overlapping_pieces_rejected(self, pieces):
+        with pytest.raises(ValueError, match="overlap"):
+            kernel_step(pieces, 200)
+
+    def test_touching_pieces_accepted(self):
+        f = kernel_step([(0.5, 1.0, 2.0), (0.0, 0.5, 1.0)], 200)
+        assert f.pieces == ((0.0, 0.5, 1.0), (0.5, 1.0, 2.0))
 
 
 class TestBuildVf:
@@ -306,6 +322,32 @@ class TestHsNorm:
             frobenius = np.linalg.norm(build_vf(f, n).matrix.entries)
             assert abs(hs_norm(f) - frobenius) <= 1.0 / n
 
+    @settings(deadline=None, derandomize=True)
+    @given(st.one_of(step_inputs(), edge_pieces()))
+    def test_matches_exact_mass(self, inputs):
+        # Each term v^2 (b' - a) ((1 - a) + (1 - b')) / 2 is a product of
+        # nonnegative floats.  With fl(x op y) = (x op y)(1 + d), |d| <= u =
+        # 2^-53, and no underflow: v*v and b' - a round once each; the sum of
+        # the nonnegative 1 - a and 1 - b' rounds at most three times, so it
+        # lies within a factor (1 + u)^2 of exact; the two products round
+        # once each and halving is exact.  A term is its exact value times
+        # (1 + t) with |t| <= gamma_6 (gamma_k = k u / (1 - k u); Higham
+        # 2002, Lemma 3.1), fsum rounds the sum of nonnegative terms once and
+        # sqrt once more: |hs^2 / S - 1| <= (1 + gamma_7)(1 + u)^2 - 1 <= gamma_9,
+        # S the exact mass over windows that stop at e = fl((N - 1/2) h).
+        n, pieces = inputs
+        f = kernel_step(pieces, n)
+        e = Fraction((n - 0.5) * f.h)
+        terms = [Fraction(v) ** 2 * (min(Fraction(b), e) - Fraction(a))
+                 * ((1 - Fraction(a)) + (1 - min(Fraction(b), e))) / 2
+                 for a, b, v in f.pieces if Fraction(a) < e]
+        # a term of at least 2^-1000 keeps every product and the halving normal
+        assume(all(t == 0 or t >= Fraction(2) ** -1000 for t in terms))
+        exact = sum(terms, Fraction(0))
+        u = Fraction(1, 2**53)
+        gamma_9 = 9 * u / (1 - 9 * u)
+        assert abs(Fraction(hs_norm(f)) ** 2 - exact) <= gamma_9 * exact
+
     def test_notell1_closed_form(self):
         m = 5
         f = kernel_notell1(m, 64)
@@ -335,10 +377,9 @@ class TestNotell1:
         assert abs(hs_norm(f) ** 2 - math.pi**2 / 4.0) < 0.15
 
     def test_kernel_and_hs_norm_hold_no_full_grid_edges(self):
-        # Live at once: the cells (or hs_norm's per-cell masses) and the two
-        # overlap buffers, each as long as the largest piece, n/2 + 1 cells:
-        # about two grid arrays of 8n bytes.  The full-grid window edges
-        # (two more) or a temporary per piece do not fit in 2.5.
+        # kernel_notell1 holds the cells, one grid array of 8n bytes, and
+        # SampledKernel's finiteness mask of n bytes; hs_norm sums over the
+        # pieces and allocates no array
         n = 2**16
         kernel_notell1(16, n)
         tracemalloc.start()
@@ -353,8 +394,8 @@ class TestNotell1:
             hs_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 16 * n <= kernel_peak <= 2.5 * 8 * n
-        assert 16 * n <= hs_peak <= 2.5 * 8 * n
+        assert 1.0 * 8 * n <= kernel_peak <= 1.25 * 8 * n
+        assert hs_peak < 64 * 1024
 
 
 class TestV2Exact:
