@@ -157,10 +157,6 @@ class TestKernelStep:
         with pytest.raises(ValueError, match="overlap"):
             kernel_step(pieces, 200)
 
-    def test_touching_pieces_accepted(self):
-        f = kernel_step([(0.5, 1.0, 2.0), (0.0, 0.5, 1.0)], 200)
-        assert f.pieces == ((0.0, 0.5, 1.0), (0.5, 1.0, 2.0))
-
 
 class TestBuildVf:
     def test_constant_kernel_smallest_grid(self):
