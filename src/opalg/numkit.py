@@ -174,7 +174,8 @@ def _power_iterate(bind, operators, n, row_bytes, complex_start, tol, restarts,
     vanishes.  Each row takes exactly the steps, and gets exactly the bits,
     of a one-vector loop over that restart alone; a ConvergenceError carries
     the estimate of the first row still running, the restart such a loop
-    would have failed on.
+    would have failed on.  A row norm that is inf or NaN raises ValueError at
+    once: the products overflowed, and every later step would be NaN.
 
     `bind(ops)` takes the operator index of each row of a block and returns
     the block's (matvec, rmatvec) pair; it is called again, after the
@@ -209,6 +210,9 @@ def _power_iterate(bind, operators, n, row_bytes, complex_start, tol, restarts,
             nz = _row_norms(z)
             keep = []
             for i, row in enumerate(live):
+                if not (s[i] < math.inf and nz[i] < math.inf):  # inf or NaN
+                    raise ValueError(f"{label} overflows: ||A v|| = {s[i]!r}, "
+                                     f"||A* A v|| = {nz[i]!r}; the operand is too large to norm")
                 if s[i] == 0.0 or nz[i] == 0.0:
                     sigmas[row] = s[i]
                     continue

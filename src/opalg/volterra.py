@@ -16,12 +16,12 @@ errors at 250, 500 and 1000 cells fall by a factor of 4 per doubling), the
 u^(-1/2) self-convolution of `titchmarsh` at order 1 (halving ratios of 2).
 An element is its first column mu, a product is the truncated Cauchy product
 of columns (`numkit.cauchy`), so support arithmetic holds bit for bit, and a
-norm is `sigma_max`.  Given a tol, as on `titchmarsh`'s ladder, sigma_max
-takes a grid's norm up to N = 1024 as the lower end of a bracket certified
-from the column (`numkit.certified_toeplitz_norm`), with one N x N buffer
-and no matrix.  Dense matrices appear only below sigma_max's crossover: in
+norm is `sigma_max`, by power iteration.  `titchmarsh`'s ladder alone takes
+its norms as the lower end of a bracket certified from the column
+(`numkit.certified_toeplitz_norm`, one N x N buffer and no matrix, up to
+N = 2370).  Dense matrices appear only below sigma_max's crossover: in
 `nilpotency_check` (through `build_vf`, which tests also use) and in
-sigma_max's norms without a tol.
+sigma_max's norms.
 
 The claim functions `v2norm`, `littlereade`, `notell1`, `titchmarsh`,
 `muntz`, `nilpotent_density` and `unbounded_witness` are the `opalg`
@@ -38,18 +38,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import (CERTIFIED_TOL, ComplexMatrix, _check_tol, cauchy,
-                     certified_toeplitz_norm, find_root, operator_norm,
-                     toeplitz_operator_norm)
+from .numkit import (ComplexMatrix, _check_tol, cauchy, certified_toeplitz_norm,
+                     find_root, operator_norm, toeplitz_operator_norm)
 from .report import ExperimentReport
 
 MAX_DENSE_DIM = 4096  # memory guard of build_vf
 # Largest grid sigma_max iterates on densely; dense and FFT matvecs tie at
 # N = 240-288 with one BLAS thread (the measured table is in CHANGES.md).
 SIGMA_MAX_DENSE_DIM = 256
-# Largest grid sigma_max given a tol certifies from the column: at N = 1024,
-# titchmarsh's residual takes 19 factorizations of the 8 MB buffer, 1.2 s.
-SIGMA_MAX_CERTIFIED_DIM = 1024
 
 
 @dataclass(frozen=True)
@@ -265,21 +261,14 @@ def build_vf(f: SampledKernel, n: int) -> VolterraDiscretization:
     return VolterraDiscretization(ComplexMatrix(_toeplitz(f.mu)))
 
 
-def sigma_max(mu, tol: float | None = None) -> float:
-    """Largest singular value of the convolution matrix with first column mu.
-    Without a tol it is `operator_norm` up to SIGMA_MAX_DENSE_DIM cells and
-    `toeplitz_operator_norm` above (both at tol max(1e-13, 4 eps N),
-    3 restarts).  With a tol it is the lower end of
-    `certified_toeplitz_norm`'s bracket, whose width CERTIFIED_TOL must not
-    exceed it, up to SIGMA_MAX_CERTIFIED_DIM cells, and
-    `toeplitz_operator_norm` at `tol` above."""
+def sigma_max(mu) -> float:
+    """Largest singular value of the convolution matrix with first column mu:
+    `operator_norm` up to SIGMA_MAX_DENSE_DIM cells and
+    `toeplitz_operator_norm` above, both at tol max(1e-13, 4 eps N) with
+    3 restarts."""
     mu = np.asarray(mu)
-    if tol is not None and len(mu) <= SIGMA_MAX_CERTIFIED_DIM:
-        if tol < CERTIFIED_TOL:
-            raise ValueError(f"tol={tol} below the certified bracket's width {CERTIFIED_TOL}")
-        return certified_toeplitz_norm(mu)[0]
     if len(mu) > SIGMA_MAX_DENSE_DIM:
-        return toeplitz_operator_norm(mu, tol=tol)
+        return toeplitz_operator_norm(mu)
     return operator_norm(_toeplitz(mu))
 
 
@@ -483,15 +472,21 @@ def titchmarsh(*, dim: int = 240) -> ExperimentReport:
     consistency across the grid refinement ladder dim/2, dim, 2 dim.
 
     The ladder's rows are the norms of the homomorphism residual (the column
-    of pi minus the self-convolution of u^(-1/2)) at relative tolerance 1e-8.
-    Its top singular values cluster (relative gap 3e-5 at N = 240, 8e-6 at
-    480), where power iteration stops short by more than its tolerance (2.0e-5
-    at N = 480).  So `sigma_max` certifies every rung of at most
-    SIGMA_MAX_CERTIFIED_DIM cells, the default three included: its row is the
-    lower end of `certified_toeplitz_norm`'s bracket, within 1e-8 of the norm.
+    of pi minus the self-convolution of u^(-1/2)), each the lower end of
+    `certified_toeplitz_norm`'s bracket, within CERTIFIED_TOL = 1e-8 of the
+    norm.  Its top singular values cluster (relative gap 3e-5 at N = 240,
+    8e-6 at 480), where power iteration stops short by more than its
+    tolerance (2.0e-5 at N = 480 at tol 1e-8).  The rungs are computed
+    largest first, so that one past the certificate's resolution (N > 2370,
+    a dim of 1200 or more) is refused before any other work.
     """
     if dim % 60 != 0:
         raise ValueError("titchmarsh experiment needs a dim divisible by 60")
+    errors = {}
+    for n in (2 * dim, dim, dim // 2):
+        f = kernel_monomial(-0.5, n)
+        target = kernel_constant(math.pi, n)
+        errors[n] = certified_toeplitz_norm(target.mu - cauchy(f.mu, f.mu))[0]
     rep = ExperimentReport("titchmarsh", {"dim": dim})
     ok = True
     for i in range(1, 11):
@@ -509,14 +504,9 @@ def titchmarsh(*, dim: int = 240) -> ExperimentReport:
         rep.add(f"nilpotent_alpha_{alpha:.4f}_n_{power}", 1.0 if hit else 0.0)
         trio_ok = trio_ok and hit
     rep.check("band_nilpotency_exact", trio_ok)
-    errors = []
     for n in (dim // 2, dim, 2 * dim):
-        f = kernel_monomial(-0.5, n)
-        target = kernel_constant(math.pi, n)
-        err = sigma_max(target.mu - cauchy(f.mu, f.mu), tol=1e-8)
-        errors.append(err)
-        rep.add(f"homomorphism_error_dim_{n}", err)
-    ratios = [a / b for a, b in zip(errors, errors[1:])]
+        rep.add(f"homomorphism_error_dim_{n}", errors[n])
+    ratios = [errors[n] / errors[2 * n] for n in (dim // 2, dim)]
     for i, ratio in enumerate(ratios):
         rep.add(f"homomorphism_halving_ratio_{i}", ratio)
     rep.check("homomorphism_error_halves",

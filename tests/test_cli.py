@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from opalg import shift
@@ -103,6 +104,13 @@ class TestValidation:
         assert "overlap" in capsys.readouterr().err
         # touching pieces are disjoint
         assert main(["nilpotent-density", "--kernel", "step:0,0.5,1;0.5,1,1"]) == 0
+
+    def test_nilpotent_density_overflow_named(self, capsys):
+        # A* A v overflows at the first power step; without the check every
+        # later step is NaN, and power iteration runs to its cap and exits 3
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["nilpotent-density", "--kernel", "const:1e300"]) == 2
+        assert "power iteration overflows" in capsys.readouterr().err
 
     def test_quasinilpotence_increasing_list_rejected(self, capsys):
         # beta_n reads the sup at k = 0 only for decreasing weights; an

@@ -856,6 +856,18 @@ class TestToeplitzNorm:
         with pytest.raises(ValueError):
             norm(**bad)
 
+    @pytest.mark.parametrize("norm", [
+        lambda: operator_norm(np.tril(np.full((8, 8), 1e300)), max_iter=1),
+        lambda: toeplitz_operator_norm(np.full(8, 1e300), max_iter=1),
+        lambda: toeplitz_operator_norm(1e300 * fft_column(64), max_iter=1),
+    ], ids=["dense", "toeplitz-runs", "toeplitz-fft"])
+    def test_both_entry_points_refuse_an_overflow_at_once(self, norm):
+        # ||A* A v|| is about 1e600 at the first step; with a cap of one step
+        # the refusal is not a ConvergenceError after NaN steps
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="overflows"):
+                norm()
+
     @pytest.mark.parametrize("col", [np.random.default_rng(5).standard_normal(40),
                                      np.arange(1, 9)], ids=["float", "int"])
     def test_real_column_uses_real_transforms(self, col, monkeypatch):
