@@ -3,16 +3,15 @@
 For an operator S built from powers of a graded generator T, conjugation by
 the diagonal phase unitary D_lam = diag(lam^0, ..., lam^(N-1)) multiplies the
 k-th sub-diagonal band by lam^k.  Averaging those conjugates against lam^(-k)
-over the circle isolates the coefficient of T^k; `fourier_coefficients`
-returns them as a coefficient vector (entry k-1 holds the coefficient of
-T^k, as in `shift`), and `fejer_coefficients` weights such a vector into
-the arithmetic-mean partial sums that reconstruct S (`shift.polynomial_in`
-lays them down).  The module also provides two computable certificates that
-an algebra generated by a single operator cannot carry an isometric circle
-action sending T to lam*T: a linear dependence among nonzero powers, and a
-norm asymmetry under the phase scan.  The claim function `fejer` is the
-`opalg` experiment of that name: its keyword parameters are the options it
-reads, with its defaults.
+isolates c_k T^k, a single band, so c_k is one entry of it divided by that
+entry of T^k; `fourier_coefficients` returns the c_k as a coefficient vector
+(entry k-1 holds c_k, as in `shift`), and `fejer_coefficients` weights such a
+vector into the arithmetic-mean partial sums that reconstruct S.  The module
+also provides two computable certificates that an algebra generated by a
+single operator cannot carry an isometric circle action sending T to lam*T:
+a linear dependence among nonzero powers, and a norm asymmetry under the
+phase scan.  The claim function `fejer` is the `opalg` experiment of that
+name: its keyword parameters are the options it reads, with its defaults.
 """
 
 from __future__ import annotations
@@ -63,34 +62,33 @@ def gauge_conjugate(a, lam: complex) -> np.ndarray:
     return (d[:, None] * a) * d.conj()[None, :]
 
 
-def fourier_coefficients(a, grid: CircleGrid, powers) -> np.ndarray:
-    """Extract the coefficients of T^1..T^d from S by circle quadrature.
+def fourier_coefficients(a, grid: CircleGrid, t) -> np.ndarray:
+    """Extract the coefficients of T^1..T^(N-1) from S by circle quadrature.
 
     Computes (1/M) sum_m gauge_conjugate(S, lam_m) * lam_m^(-k) -- which equals
-    coeff(k) * T^k whenever M >= 2N -- then divides on the largest-magnitude
-    entry of the supplied T^k.  Entry k-1 of the result is coeff(k).
+    coeff(k) * T^k whenever M >= 2N -- then divides on the first largest-
+    magnitude entry of T^k's band (`shift._bands`), t being S's N x N truncation;
+    an entry below the smallest normal float is refused.  Entry k-1 is coeff(k).
     """
-    a = np.asarray(a)
-    n = a.shape[0]
-    m = grid.node_count
-    if m < 2 * n:
-        raise ValueError(f"grid must have at least 2N = {2 * n} nodes, got {m}")
+    a, n, m = np.asarray(a), t.dim, grid.node_count
+    if a.shape != (n, n) or m < 2 * n:
+        raise ValueError(f"need an {n} x {n} matrix and at least 2N = {2 * n} grid "
+                         f"nodes, got shape {a.shape} and {m} nodes")
     nodes = grid.nodes
     conjugates = np.empty((m, n, n), dtype=complex)
     for out, lam in zip(conjugates, nodes):
         out[...] = gauge_conjugate(a, lam)
-    ks = np.arange(1, len(powers) + 1)
-    # all quadratures at once: weights[k, m] = lam_m^(-k)
-    weights = nodes[None, :] ** (-ks[:, None])
+    # all quadratures at once: weights[k - 1, m] = lam_m^(-k)
+    weights = nodes[None, :] ** (-np.arange(1, n)[:, None])
     integrals = np.tensordot(weights, conjugates, axes=(1, 0))
-    integrals /= m  # in place: a second (d, N, N) array would set the peak
-    coeffs = np.empty(len(powers), dtype=complex)
-    for k, tk in zip(ks, powers):
-        tk = np.asarray(tk).ravel()
-        idx = int(np.argmax(np.abs(tk)))
-        if tk[idx] == 0.0:
-            raise ValueError(f"T^{k} vanishes at truncation dim {n}; cannot divide it out")
-        coeffs[k - 1] = integrals[k - 1].ravel()[idx] / tk[idx]
+    integrals /= m  # in place: a second (N-1, N, N) array would set the peak
+    coeffs = np.empty(n - 1, dtype=complex)
+    for k, (cells, band) in enumerate(shift._bands(t, n - 1), start=1):
+        j = int(np.argmax(np.abs(band)))
+        if abs(band[j]) < np.finfo(float).tiny:
+            raise ValueError(f"T^{k} at truncation dim {n} has largest entry {abs(band[j]):.3g}, "
+                             f"below the smallest normal float; cannot divide it out")
+        coeffs[k - 1] = integrals[k - 1].ravel()[cells][j] / band[j]
     return coeffs
 
 
@@ -109,14 +107,14 @@ def fejer(*, dim: int = 32, nodes: int | None = None, nmax: int = 64,
           weights: str = shift.HARMONIC, seed: int = 0) -> ExperimentReport:
     """Cesaro-weighted reconstruction of a random shift polynomial from its
     Fourier coefficients (quadrature on 2 dim nodes unless `nodes` is given),
-    at orders up to nmax, against the coefficient-mass bound."""
+    at orders up to nmax, against the coefficient-mass bound.  T^k is one
+    band, so ||T^k|| is exactly its largest modulus: no power is laid down."""
     t = shift.build_shift(shift.parse_weight_spec(weights, dim), dim)
     grid = CircleGrid(2 * dim if nodes is None else nodes)
     degree = min(8, dim - 1)
     s = shift.polynomial_in(t, shift.random_polynomial(t, seed, 0, degree))
-    powers = t.powers(dim - 1)
-    series = fourier_coefficients(s, grid, powers)
-    norms = operator_norm(powers)
+    series = fourier_coefficients(s, grid, t)
+    norms = [np.max(np.abs(band)) for _, band in shift._bands(t, dim - 1)]
     coeff_mass = sum(abs(c) * nrm for c, nrm in zip(series, norms))
     params = {"dim": dim, "nodes": nodes, "nmax": nmax, "weights": weights}
     rep = ExperimentReport("fejer", {k: v for k, v in params.items() if v is not None})

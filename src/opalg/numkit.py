@@ -175,7 +175,7 @@ def _power_iterate(bind, operators, n, row_bytes, complex_start, tol, restarts,
     of a one-vector loop over that restart alone; a ConvergenceError carries
     the estimate of the first row still running, the restart such a loop
     would have failed on.  A row norm that is inf or NaN raises ValueError at
-    once: the products overflowed, and every later step would be NaN.
+    once, numpy's overflow warnings silenced: every later step would be NaN.
 
     `bind(ops)` takes the operator index of each row of a block and returns
     the block's (matvec, rmatvec) pair; it is called again, after the
@@ -196,47 +196,48 @@ def _power_iterate(bind, operators, n, row_bytes, complex_start, tol, restarts,
     sigmas = [0.0] * total
     per_block = _block_rows(row_bytes)
     matvec = rmatvec = None
-    for first in range(0, total, per_block):
-        live = list(range(first, min(first + per_block, total)))
-        v = _starts(n, [row % restarts + 1 for row in live], complex_start)
-        sigma = [0.0] * len(live)
-        settled = [0] * len(live)
-        for _ in range(max_iter):
-            if matvec is None:
-                matvec, rmatvec = bind([row // restarts for row in live])
-            w = matvec(v)
-            s = _row_norms(w)
-            z = rmatvec(w)
-            nz = _row_norms(z)
-            keep = []
-            for i, row in enumerate(live):
-                if not (s[i] < math.inf and nz[i] < math.inf):  # inf or NaN
-                    raise ValueError(f"{label} overflows: ||A v|| = {s[i]!r}, "
-                                     f"||A* A v|| = {nz[i]!r}; the operand is too large to norm")
-                if s[i] == 0.0 or nz[i] == 0.0:
-                    sigmas[row] = s[i]
-                    continue
-                settled[i] = settled[i] + 1 if abs(s[i] - sigma[i]) <= tol * s[i] else 0
-                sigma[i] = s[i]
-                if settled[i] >= 3:
-                    sigmas[row] = s[i]
-                else:
-                    keep.append(i)
-            if len(keep) < len(live):
-                # drop the block's operands before `bind` builds the next ones
-                matvec = rmatvec = None
-                if not keep:
-                    v = w = z = None  # and its iterates before `_starts` draws the next
-                    break
-                live = [live[i] for i in keep]
-                sigma = [sigma[i] for i in keep]
-                settled = [settled[i] for i in keep]
-                nz = [nz[i] for i in keep]
-                v = z = z[keep]  # a copy, free to take the next iterates
-            np.divide(z, np.array(nz)[:, None], out=v)
-        else:
-            raise ConvergenceError(
-                f"{label} did not settle within {max_iter} iterations", sigma[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
+        for first in range(0, total, per_block):
+            live = list(range(first, min(first + per_block, total)))
+            v = _starts(n, [row % restarts + 1 for row in live], complex_start)
+            sigma = [0.0] * len(live)
+            settled = [0] * len(live)
+            for _ in range(max_iter):
+                if matvec is None:
+                    matvec, rmatvec = bind([row // restarts for row in live])
+                w = matvec(v)
+                s = _row_norms(w)
+                z = rmatvec(w)
+                nz = _row_norms(z)
+                keep = []
+                for i, row in enumerate(live):
+                    if not (s[i] < math.inf and nz[i] < math.inf):  # inf or NaN
+                        raise ValueError(f"{label} overflows: ||A v|| = {s[i]!r}, ||A* A v|| = "
+                                         f"{nz[i]!r}; the operand is too large to norm")
+                    if s[i] == 0.0 or nz[i] == 0.0:
+                        sigmas[row] = s[i]
+                        continue
+                    settled[i] = settled[i] + 1 if abs(s[i] - sigma[i]) <= tol * s[i] else 0
+                    sigma[i] = s[i]
+                    if settled[i] >= 3:
+                        sigmas[row] = s[i]
+                    else:
+                        keep.append(i)
+                if len(keep) < len(live):
+                    # drop the block's operands before `bind` builds the next ones
+                    matvec = rmatvec = None
+                    if not keep:
+                        v = w = z = None  # and its iterates before `_starts` draws the next
+                        break
+                    live = [live[i] for i in keep]
+                    sigma = [sigma[i] for i in keep]
+                    settled = [settled[i] for i in keep]
+                    nz = [nz[i] for i in keep]
+                    v = z = z[keep]  # a copy, free to take the next iterates
+                np.divide(z, np.array(nz)[:, None], out=v)
+            else:
+                raise ConvergenceError(
+                    f"{label} did not settle within {max_iter} iterations", sigma[0])
     return [max(0.0, *sigmas[k:k + restarts]) for k in range(0, total, restarts)]
 
 

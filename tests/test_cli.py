@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tracemalloc
 
-import numpy as np
 import pytest
 
 from opalg import shift
@@ -105,11 +104,12 @@ class TestValidation:
         # touching pieces are disjoint
         assert main(["nilpotent-density", "--kernel", "step:0,0.5,1;0.5,1,1"]) == 0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nilpotent_density_overflow_named(self, capsys):
         # A* A v overflows at the first power step; without the check every
-        # later step is NaN, and power iteration runs to its cap and exits 3
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["nilpotent-density", "--kernel", "const:1e300"]) == 2
+        # later step is NaN, and power iteration runs to its cap and exits 3.
+        # The check names the overflow, so numpy warns of none.
+        assert main(["nilpotent-density", "--kernel", "const:1e300"]) == 2
         assert "power iteration overflows" in capsys.readouterr().err
 
     def test_quasinilpotence_increasing_list_rejected(self, capsys):
@@ -361,6 +361,13 @@ class TestCliProcess:
     def test_assertion_failure_exit_one(self):
         proc = run_cli("unbounded-witness", "--dim", "64")
         assert proc.returncode == 1
+
+    def test_fejer_past_the_underflow_of_its_powers(self):
+        # ||T^58|| = 1/58! ~ 4e-79: power iteration on the powers themselves
+        # never settled there and exited 3; the band maxima hold at any scale
+        proc = run_cli("fejer", "--dim", "64", "--seed", "3", "--format", "json")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["flags"] == {"errors_within_coefficient_bound": True}
 
     def test_seed_echoed_verbatim(self):
         proc = run_cli("equivalence", "--dim", "12", "--nmax", "3", "--seed", "123456",

@@ -55,7 +55,7 @@ class TestGaugeConjugate:
 class TestFourierCoefficients:
     def test_monomial(self, harmonic8):
         t = harmonic8.powers(1)[0]
-        series = fourier_coefficients(t, CircleGrid(16), harmonic8.powers(7))
+        series = fourier_coefficients(t, CircleGrid(16), harmonic8)
         assert series[0] == pytest.approx(1.0, abs=1e-12)
         for k in range(2, 8):
             assert abs(series[k - 1]) < 1e-12
@@ -64,7 +64,7 @@ class TestFourierCoefficients:
     def test_linearity(self, harmonic8):
         powers = harmonic8.powers(7)
         s = 3.0 * powers[0] + 5.0 * powers[1]
-        series = fourier_coefficients(s, CircleGrid(16), powers)
+        series = fourier_coefficients(s, CircleGrid(16), harmonic8)
         assert series[0] == pytest.approx(3.0, abs=1e-12)
         assert series[1] == pytest.approx(5.0, abs=1e-12)
 
@@ -72,24 +72,41 @@ class TestFourierCoefficients:
         # T^2 e_0 = a_0 a_1 e_2 = (1/2) e_2, and the extracted coefficient is 1
         t2 = harmonic8.powers(2)[1]
         assert t2[2, 0] == pytest.approx(0.5, abs=1e-15)
-        series = fourier_coefficients(t2, CircleGrid(16), harmonic8.powers(7))
+        series = fourier_coefficients(t2, CircleGrid(16), harmonic8)
         assert series[1] == pytest.approx(1.0, abs=1e-12)
 
-    def test_vanished_power_rejected(self, harmonic8):
-        powers = harmonic8.powers(8)  # T^8 = 0 at truncation
-        with pytest.raises(ValueError, match="T\\^8"):
-            fourier_coefficients(powers[0], CircleGrid(16), powers)
+    # geometric:0.5 gives ||T^k|| = 2^-(k(k-1)/2): T^45 reads 2^-990, T^46 the
+    # subnormal 2^-1035 = 2.7e-312, and T^47 underflows to 0.0
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_vanished_power_rejected(self):
+        # T^47 is zero at dim 48, but the subnormal T^46 before it is refused first
+        with pytest.raises(ValueError, match=r"T\^46 at truncation dim 48 has largest "
+                                             r"entry 2.72e-312"):
+            fejer(weights="geometric:0.5", dim=48)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_power_rejected(self):
+        # dividing by 2.7e-312 overflowed to inf and NaN, which the norm refused
+        with pytest.raises(ValueError, match=r"T\^46 at truncation dim 47 has largest "
+                                             r"entry 2.72e-312"):
+            fejer(weights="geometric:0.5", dim=47)
+        assert fejer(weights="geometric:0.5", dim=46).passed
 
     def test_small_grid_rejected(self, harmonic8):
         with pytest.raises(ValueError):
-            fourier_coefficients(harmonic8.powers(1)[0], CircleGrid(8),
-                                 harmonic8.powers(2))
+            fourier_coefficients(harmonic8.powers(1)[0], CircleGrid(8), harmonic8)
+
+    def test_mismatched_truncation_rejected(self, harmonic8):
+        # the divisor cells are those of t's bands, so S must be t's size
+        s = build_shift(harmonic_weights(9), 9).powers(1)[0]
+        with pytest.raises(ValueError, match="need an 8 x 8 matrix"):
+            fourier_coefficients(s, CircleGrid(18), harmonic8)
 
     def test_agrees_with_column_extraction(self, harmonic8):
         # the quadrature recovers the coefficients the polynomial was built from
         col = random_polynomial(harmonic8, seed=42, trial=0)
         s = polynomial_in(harmonic8, col)
-        quad = fourier_coefficients(s, CircleGrid(16), harmonic8.powers(7))
+        quad = fourier_coefficients(s, CircleGrid(16), harmonic8)
         for k in range(1, 8):
             assert abs(quad[k - 1] - col[k - 1]) < 1e-12
 
@@ -103,13 +120,13 @@ class TestFejerMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # defaults: N = 32, M = 64 nodes, powers T^1..T^31.  Live at the peak:
-        # the (M, N, N) conjugates, the (31, N, N) powers and quadratures, and
-        # small arrays.  A list of the conjugates next to their stack, or a
-        # second quadrature array for the 1/M scaling, adds 1 MB or 0.5 MB.
+        # defaults: N = 32, M = 64 nodes.  Live at the peak: the (M, N, N)
+        # conjugates, the (31, N, N) quadratures, and small arrays.  A stack of
+        # the powers T^1..T^31, a list of the conjugates next to their stack, or
+        # a second quadrature array for the 1/M scaling adds 0.5 MB or 1 MB.
         conjugates = 64 * 32 * 32 * 16
         stack = 31 * 32 * 32 * 16
-        assert peak <= conjugates + 2 * stack + 128 * 1024
+        assert peak <= conjugates + stack + 128 * 1024
 
 
 class TestFejerSum:
@@ -139,7 +156,7 @@ class TestFejerSum:
         powers = harmonic8.powers(7)
         for trial in range(5):
             s = polynomial_in(harmonic8, random_polynomial(harmonic8, seed=13, trial=trial))
-            series = fourier_coefficients(s, CircleGrid(16), powers)
+            series = fourier_coefficients(s, CircleGrid(16), harmonic8)
             d = len(series)
             for n in (7, 14, 70):
                 approx = polynomial_in(harmonic8, fejer_coefficients(series, n))
@@ -216,7 +233,7 @@ class TestGaugeInvariants:
         t = build_shift(harmonic_weights(8), 8)
         powers = t.powers(7)
         s = sum(1e-14 * p for p in powers)
-        series = fourier_coefficients(s, CircleGrid(16), powers)
+        series = fourier_coefficients(s, CircleGrid(16), t)
         assert all(abs(series[k - 1]) < 1e-12 for k in range(1, 8))
         total = sum(operator_norm(p) for p in powers)
         assert operator_norm(s) < 1e-9 * total
@@ -226,7 +243,7 @@ class TestGaugeInvariants:
         powers = t.powers(11)
         for trial in range(3):
             s = polynomial_in(t, random_polynomial(t, seed=33, trial=trial))
-            series = fourier_coefficients(s, CircleGrid(24), powers)
+            series = fourier_coefficients(s, CircleGrid(24), t)
             recon = sum(series[k - 1] * powers[k - 1] for k in range(1, 12))
             assert operator_norm(s - recon) < 1e-10
 
