@@ -25,8 +25,9 @@ SVD_ORACLE_MAX_DIM = 512
 # Jacobi stopping rule: a column pair is rotated while |<a_p, a_q>| exceeds
 # this fraction of |a_p| |a_q|, and a sweep that rotates none finishes.
 JACOBI_TOL = 1e-14
+JACOBI_MAX_SWEEPS = 60  # and the sweep cap
 
-# Restart cap for power iteration.
+# Step cap of one power-iteration restart.
 POWER_ITERATION_CAP = 100_000
 
 # Working-set budget of one power-iteration block (see `_power_iterate`).
@@ -155,8 +156,7 @@ def _check_tol(tol: float, n: int):
         raise ValueError(f"tol={tol} below machine resolution eps*N at N={n}")
 
 
-def _power_iterate(bind, operators, n, row_bytes, complex_start, tol, restarts,
-                   max_iter, label):
+def _power_iterate(bind, operators, n, row_bytes, complex_start, tol, restarts, label):
     """Shared power-iteration core on A*A with seeded restarts, for
     `operators` operators of dimension n.  Returns one norm per operator.
 
@@ -190,8 +190,6 @@ def _power_iterate(bind, operators, n, row_bytes, complex_start, tol, restarts,
     _check_tol(tol, n)
     if restarts < 1:
         raise ValueError("restarts must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
     total = operators * restarts
     sigmas = [0.0] * total
     per_block = _block_rows(row_bytes)
@@ -202,7 +200,7 @@ def _power_iterate(bind, operators, n, row_bytes, complex_start, tol, restarts,
             v = _starts(n, [row % restarts + 1 for row in live], complex_start)
             sigma = [0.0] * len(live)
             settled = [0] * len(live)
-            for _ in range(max_iter):
+            for _ in range(POWER_ITERATION_CAP):
                 if matvec is None:
                     matvec, rmatvec = bind([row // restarts for row in live])
                 w = matvec(v)
@@ -237,7 +235,7 @@ def _power_iterate(bind, operators, n, row_bytes, complex_start, tol, restarts,
                 np.divide(z, np.array(nz)[:, None], out=v)
             else:
                 raise ConvergenceError(
-                    f"{label} did not settle within {max_iter} iterations", sigma[0])
+                    f"{label} did not settle within {POWER_ITERATION_CAP} iterations", sigma[0])
     return [max(0.0, *sigmas[k:k + restarts]) for k in range(0, total, restarts)]
 
 
@@ -246,12 +244,11 @@ def _default_tol(n: int) -> float:
     return max(1e-13, 4.0 * _EPS * n)
 
 
-def operator_norm(a, tol: float | None = None, restarts: int = 3,
-                  max_iter: int = POWER_ITERATION_CAP) -> float | list[float]:
+def operator_norm(a, tol: float | None = None) -> float | list[float]:
     """Largest singular value by power iteration on A*A.
 
-    Runs `restarts` independent iterations seeded 1, 2, ..., restarts and
-    returns the maximum estimate.  The default tolerance is 1e-13, raised to
+    Runs three independent iterations seeded 1, 2 and 3 and returns the
+    maximum estimate.  The default tolerance is 1e-13, raised to
     4*eps*N for large matrices.
 
     `a` is one square matrix, for which a float is returned, or a stack of
@@ -287,7 +284,7 @@ def operator_norm(a, tol: float | None = None, restarts: int = 3,
 
     norms = _power_iterate(
         bind, len(stack), n, a.itemsize * n * n if len(stack) > 1 else 16 * n,
-        np.iscomplexobj(a), tol, restarts, max_iter, "power iteration")
+        np.iscomplexobj(a), tol, 3, "power iteration")
     return norms if a.ndim == 3 else norms[0]
 
 
@@ -307,32 +304,32 @@ def _gram_from_column(col: np.ndarray, buffer: np.ndarray, gram_diagonal: np.nda
         np.cumsum(terms[:n - d], out=flat[d::n + 1][:n - d][::-1])
 
 
-def _cholesky_in_place(buffer: np.ndarray, gram_diagonal: np.ndarray, t: float) -> bool:
+def _cholesky_in_place(buffer: np.ndarray, gram_diagonal: np.ndarray, t: float, columns: int):
     """Factor B(t) = s I - G, s = t^2 (1 - (N + 2)^2 eps), as L L*, with G in
     the strict upper triangle of `buffer` and on `gram_diagonal` (see
     `certified_toeplitz_norm`).  Left-looking, one gemv per column: column j of B
     below the diagonal is -conj(G[j, j+1:]), read from the upper triangle,
     which stays untouched, and L goes into the lower triangle, diagonal
-    included.  Returns whether every pivot was positive; after a failure the
-    lower triangle holds a partial factor."""
+    included.  Writes columns 0..columns-1 of L and returns `columns`, or
+    returns j once pivot j is not positive, columns 0..j-1 written."""
     n = gram_diagonal.size
     s = t * t * (1.0 - (n + 2) ** 2 * _EPS)
     work = np.empty(n, dtype=buffer.dtype)
     row = np.empty(n, dtype=buffer.dtype)
-    for j in range(n):
+    for j in range(columns):
         # w = L[j:, :j] conj(L[j, :j]), so w[0] = sum_k |L[j, k]|^2
         w = np.matmul(buffer[j:, :j], np.conjugate(buffer[j, :j], out=row[:j]),
                       out=work[:n - j])
         pivot = (s - gram_diagonal[j]) - w[0].real
         if not pivot > 0.0:
-            return False
+            return j
         r = math.sqrt(pivot)
         buffer[j, j] = r
         # L[i, j] = (B[i, j] - w_i) / r = (conj(G[j, i]) + w_i) / (-r)
         column = buffer[j + 1:, j]
         np.add(np.conjugate(buffer[j, j + 1:], out=row[:n - j - 1]), w[1:], out=column)
         np.divide(column, -r, out=column)
-    return True
+    return columns
 
 
 def _substitute(buffer: np.ndarray, x: np.ndarray):
@@ -367,10 +364,11 @@ def certified_toeplitz_norm(first_column) -> tuple[float, float]:
     buffer and nothing is rebuilt.  A step takes x = y/||y|| for
     y = B(upper)^-1 x, by two substitutions with the factor just computed
     (inverse iteration on A*A, shifted just above sigma_1^2), raises `lower`
-    to ||Ax||, and tries to certify t = lower + (upper - lower) / 8.  After
-    an attempt fails, B is factored at `upper` again before the step.  The
-    first t tried is lower * (1 + 1e-2), moved 8 times as far out after each
-    failure; every attempt counts as a step towards INVERSE_ITERATION_CAP.
+    to ||Ax||, and tries to certify t = lower + (upper - lower) / 8.  A failed
+    attempt at pivot j overwrote only columns 0..j-1 of the factor at `upper`,
+    and those are factored again before the step.  The first t tried is
+    lower (1 + 1e-2), 8 times as far out after each failure; every attempt
+    counts as a step towards INVERSE_ITERATION_CAP.
 
     Why success at t proves t > sigma_1 (u = eps/2 is the unit roundoff,
     g = (n + 2) u / (1 - (n + 2) u), and nothing underflows or overflows):
@@ -422,7 +420,8 @@ def certified_toeplitz_norm(first_column) -> tuple[float, float]:
     upper = math.inf
     t = lower * (1.0 + 1e-2)
     for _ in range(INVERSE_ITERATION_CAP):
-        if _cholesky_in_place(buffer, gram_diagonal, t):
+        done = _cholesky_in_place(buffer, gram_diagonal, t, n)
+        if done == n:
             upper = t
             if upper <= lower * (1.0 + CERTIFIED_TOL):
                 return lower, upper
@@ -430,8 +429,8 @@ def certified_toeplitz_norm(first_column) -> tuple[float, float]:
             t = lower + 8.0 * (t - lower)
             continue
         else:
-            # the same arithmetic as the attempt that certified upper, so it succeeds
-            _cholesky_in_place(buffer, gram_diagonal, upper)
+            # the arithmetic of the attempt that certified upper, so it succeeds
+            _cholesky_in_place(buffer, gram_diagonal, upper, done)
         _substitute(buffer, x)
         x /= np.linalg.norm(x)
         lower = max(lower, float(np.linalg.norm(np.convolve(col, x)[:n])))
@@ -469,7 +468,7 @@ def _round_robin(n: int) -> tuple:
     return tuple(rounds)
 
 
-def jacobi_svd(a, max_sweeps: int = 60, vectors: bool = True):
+def jacobi_svd(a, vectors: bool = True):
     """One-sided (Hestenes) Jacobi SVD of a (possibly rectangular) matrix.
 
     Returns (singular values in decreasing order, right singular vectors as
@@ -513,7 +512,7 @@ def jacobi_svd(a, max_sweeps: int = 60, vectors: bool = True):
     if vectors:
         w[:, m:] = np.eye(n)
     sq = _column_norms_squared(w[:, :m])
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = 0.0
         for pq in _round_robin(n):
             wpq = w[pq]
@@ -553,7 +552,7 @@ def jacobi_svd(a, max_sweeps: int = 60, vectors: bool = True):
         sq = _column_norms_squared(w[:, :m])
     else:
         raise ConvergenceError(
-            f"Jacobi sweeps did not converge within {max_sweeps} sweeps", math.sqrt(max(sq)))
+            f"Jacobi sweeps did not converge within {JACOBI_MAX_SWEEPS} sweeps", math.sqrt(max(sq)))
     sigmas = np.sqrt(_column_norms_squared(w[:, :m]))
     order = np.argsort(sigmas)[::-1]
     return sigmas[order], (w[order, m:].T if vectors else None)
@@ -684,14 +683,13 @@ def _run_bind(starts: list, jumps: list, n: int, rows: int, dtype):
     return bind
 
 
-def toeplitz_operator_norm(first_column, tol: float | None = None, restarts: int = 3,
-                           max_iter: int = POWER_ITERATION_CAP) -> float:
+def toeplitz_operator_norm(first_column, tol: float | None = None, restarts: int = 3) -> float:
     """Largest singular value of the lower-triangular Toeplitz matrix with the
     given first column, without materialising it.
 
     `volterra.sigma_max` uses it for every Volterra norm above its dense
     crossover, and `notell1` on its 2^20 grid.  Power iteration runs in
-    `_power_iterate` with `operator_norm`'s defaults of `tol` and `restarts`.
+    `_power_iterate` with `operator_norm`'s default `tol` and three restarts.
     A real (or integer) column stays float64 and starts from the same real
     seeded vectors as `operator_norm` on the dense real matrix; a complex
     column uses complex starts.  Each product is a run product or an FFT
@@ -765,7 +763,7 @@ def toeplitz_operator_norm(first_column, tol: float | None = None, restarts: int
     rows = min(max(restarts, 1), _block_rows(16 * n))  # the core rejects restarts < 1
 
     def iterate(bind):
-        return _power_iterate(bind, 1, n, 16 * n, is_complex, tol, restarts, max_iter,
+        return _power_iterate(bind, 1, n, 16 * n, is_complex, tol, restarts,
                               "Toeplitz power iteration")[0]
 
     runs = _runs(col, length)

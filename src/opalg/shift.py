@@ -279,7 +279,8 @@ def inequivalence(*, nmax: int = 3) -> ExperimentReport:
     k = 4 * n + 10
     spread_slack = k * _EPS / 2 / (1 - k * _EPS / 2) * closed_form
     rep.check("spread_closed_form_matches", abs(image_norm - closed_form) <= spread_slack)
-    rep.check("e0_closed_form_matches", abs(e0_norm - math.sqrt(n)) < 1e-12)
+    # column 0 of p holds n ones: its squared sum is exactly n, and both roots round correctly
+    rep.check("e0_closed_form_matches", e0_norm == math.sqrt(n))
     rep.check("ratio_exceeds_bound", op_norm / e0_norm >= ratio_bound - 1e-10)
     return rep
 

@@ -84,21 +84,13 @@ class SampledKernel:
         return float(nz[0]) * self.h
 
     def l1_partial(self, x: float) -> float:
-        """Mass of |f| over [0, x]: exact when pieces are available, else
-        |mu| summed cell by cell, the window straddling x prorated.  |mu| is
-        a lower bound on the |f| cells, exact while f keeps one sign per
-        cell, as every kernel without pieces but a sign-changing `poly` does."""
-        if self.pieces is not None:
-            total = 0.0
-            for a, b, v in self.pieces:
-                total += abs(v) * max(0.0, min(b, x) - a)
-            return total
+        """Mass of |f| over [0, x], exact from the pieces; only a
+        piecewise-constant kernel has one here."""
+        if self.pieces is None:
+            raise ValueError("l1_partial needs a kernel with pieces")
         total = 0.0
-        for cell, lo, hi in zip(np.abs(self.mu), *_window_edges(self.grid_size)):
-            if hi <= x:
-                total += cell
-            elif lo < x:
-                total += cell * (x - lo) / (hi - lo)
+        for a, b, v in self.pieces:
+            total += abs(v) * max(0.0, min(b, x) - a)
         return total
 
 
@@ -408,20 +400,17 @@ def nilpotent_approximation(f: SampledKernel, delta: float):
     d = int(round(d))
     if d == 0:
         return f, 0.0
-    if d >= n:
-        zero = SampledKernel(np.zeros(n), () if f.pieces is not None else None)
-        return zero, f.l1_partial(1.0)
     if f.pieces is not None:
         clipped = [(max(a, delta), b, v) for a, b, v in f.pieces if b > delta]
         h_kernel = kernel_step(clipped, n)
         bound = f.l1_partial(delta)
     else:
-        # window d straddles delta: keep its upper half (midpoint split)
+        # window d straddles delta (none does at d = n): keep its upper half
         absc = np.abs(f.mu)
-        bound = float(np.sum(absc[:d]) + 0.5 * absc[d])
+        bound = float(np.sum(absc[:d]) + 0.5 * np.sum(absc[d:d + 1]))
         mu = f.mu.copy()
         mu[:d] = 0.0
-        mu[d] *= 0.5
+        mu[d:d + 1] *= 0.5
         h_kernel = SampledKernel(mu)
     diff = f.mu - h_kernel.mu
     if np.sum(np.abs(diff)) > bound + 1e-10:
@@ -451,12 +440,12 @@ def nilpotent_density(*, dim: int = 200, nmax: int = 10,
     return rep
 
 
-def titchmarsh_alpha(f: SampledKernel, g: SampledKernel, tol: float = 1e-10):
-    """From a numerically vanishing convolution, recover complementary
-    support starts: alpha + beta >= 1 - 2/N on the grid."""
+def titchmarsh_alpha(f: SampledKernel, g: SampledKernel):
+    """From a numerically vanishing convolution (sigma_max below 1e-10),
+    recover complementary support starts: alpha + beta >= 1 - 2/N on the grid."""
     n = f.grid_size
     sigma = sigma_max(cauchy(f.mu, g.mu))
-    if sigma >= tol:
+    if sigma >= 1e-10:
         raise ValueError(
             f"convolution is not numerically zero: sigma_max = {sigma}")
     alpha = f.support_start

@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from opalg import shift
+from opalg import numkit, shift
 from opalg.cli import EXPERIMENTS, ExperimentConfig, emit_report, main, run_experiment
 from opalg.report import ExperimentReport
 
@@ -23,6 +23,13 @@ class TestValidation:
     def test_unknown_experiment_rejected_before_compute(self):
         with pytest.raises(ValueError, match="unknown experiment"):
             run_experiment(ExperimentConfig("does-not-exist"))
+
+    def test_iteration_cap_exits_three(self, monkeypatch, capsys):
+        # a norm that does not settle within the cap is a numeric failure
+        monkeypatch.setattr(numkit, "POWER_ITERATION_CAP", 1)
+        assert main(["v2norm", "--dim", "16"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numeric failure: power iteration did not settle within 1 iterations")
 
     def test_unknown_experiment_exit_code(self):
         proc = run_cli("does-not-exist")

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -101,13 +102,13 @@ def sequential_power_iterate(matvec, rmatvec, n, complex_start, tol, restarts,
     return best
 
 
-def sequential_operator_norm(a, tol=None, restarts=3, max_iter=100_000):
+def sequential_operator_norm(a, tol=None, max_iter=100_000):
     n = a.shape[0]
     if tol is None:
         tol = max(1e-13, 4.0 * np.finfo(float).eps * n)
     adj = a.conj().T.copy()
     return sequential_power_iterate(lambda v: a @ v, lambda w: adj @ w, n,
-                                    np.iscomplexobj(a), tol, restarts, max_iter,
+                                    np.iscomplexobj(a), tol, 3, max_iter,
                                     "power iteration")
 
 
@@ -187,6 +188,12 @@ def outcome(thunk):
         return thunk()
     except ConvergenceError as err:
         return str(err), err.last_value
+
+
+def capped(thunk, steps=2):
+    """`outcome(thunk)` with numkit's power iteration capped at `steps` steps."""
+    with mock.patch.object(numkit, "POWER_ITERATION_CAP", steps):
+        return outcome(thunk)
 
 
 def member(rng, kind, n, is_complex, column=False):
@@ -335,19 +342,17 @@ class TestOperatorNorm:
             operator_norm(np.eye(64), tol=1e-16)
 
     @settings(deadline=None, derandomize=True, max_examples=40)
-    @given(st.integers(1, 64), st.integers(1, 8), st.integers(1, 4), st.booleans(),
+    @given(st.integers(1, 64), st.integers(1, 8), st.booleans(),
            st.lists(kinds, min_size=8, max_size=8), st.sampled_from([None, 1e-9]),
            st.integers(0, 2**32 - 1))
-    def test_block_equals_sequential_oracle(self, n, m, restarts, is_complex,
-                                            member_kinds, tol, seed):
+    def test_block_equals_sequential_oracle(self, n, m, is_complex, member_kinds, tol, seed):
         rng = np.random.default_rng(seed)
         stack = np.array([member(rng, kind, n, is_complex) for kind in member_kinds[:m]])
-        kw = {"tol": tol, "restarts": restarts}
-        assert operator_norm(stack, **kw) == [sequential_operator_norm(a, **kw) for a in stack]
-        assert operator_norm(stack[0], **kw) == sequential_operator_norm(stack[0], **kw)
+        assert operator_norm(stack, tol) == [sequential_operator_norm(a, tol) for a in stack]
+        assert operator_norm(stack[0], tol) == sequential_operator_norm(stack[0], tol)
         # at two steps Gaussian members fail; the first failing row names the estimate
-        assert outcome(lambda: operator_norm(stack, max_iter=2, **kw)) == outcome(
-            lambda: [sequential_operator_norm(a, max_iter=2, **kw) for a in stack])
+        assert capped(lambda: operator_norm(stack, tol)) == outcome(
+            lambda: [sequential_operator_norm(a, tol, max_iter=2) for a in stack])
 
     def test_one_matrix_allocates_only_its_adjoint(self):
         a = volterra_matrix(240)
@@ -477,7 +482,7 @@ class TestCertifiedNorm:
         else:
             buffer = a.conj().T @ a
             gram_diagonal = buffer.diagonal().real.copy()
-        return _cholesky_in_place(buffer, gram_diagonal, t)
+        return _cholesky_in_place(buffer, gram_diagonal, t, a.shape[0]) == a.shape[0]
 
     def test_shift_below_the_norm_is_never_certified(self):
         # and a shift well above it is, so the check is not vacuous
@@ -506,7 +511,7 @@ class TestCertifiedNorm:
         _gram_from_column(a[:, 0], buffer, gram_diagonal)
         upper = np.triu(buffer, 1)
         t = 1.5 * lapack_norm(a)
-        assert _cholesky_in_place(buffer, gram_diagonal, t)
+        assert _cholesky_in_place(buffer, gram_diagonal, t, 40) == 40
         np.testing.assert_array_equal(np.triu(buffer, 1), upper)
         factor = np.tril(buffer)
         s = t * t * (1.0 - 42**2 * np.finfo(float).eps)
@@ -576,6 +581,48 @@ class TestCertifiedNorm:
         assert upper >= sigma
         assert lower <= sigma * (1.0 + 1e-14)
 
+    @staticmethod
+    def attempts_from(col, start, monkeypatch):
+        """The bracket of the certificate on `col` with `lower` starting at
+        `start`, and (t, certified) of each attempt, a factorization of all N
+        columns."""
+        monkeypatch.setattr(numkit, "toeplitz_operator_norm", lambda col, tol: start)
+        original, attempts = numkit._cholesky_in_place, []
+
+        def spy(buffer, gram_diagonal, t, columns):
+            done = original(buffer, gram_diagonal, t, columns)
+            if columns == col.size:
+                attempts.append((t, done == columns))
+            return done
+
+        monkeypatch.setattr(numkit, "_cholesky_in_place", spy)
+        return certified_toeplitz_norm(col), attempts
+
+    def test_start_far_below_the_norm_widens_eightfold(self, monkeypatch):
+        # lower starts 5% below the norm, so the first t, 1.01 lower, fails;
+        # the next lies 8 times as far out, at 1.08 lower, above the norm
+        col = titchmarsh_residual(120)[:, 0]
+        sigma = lapack_norm(_toeplitz(col))
+        start = 0.95 * sigma
+        (lower, upper), attempts = self.attempts_from(col, start, monkeypatch)
+        assert [certified for _, certified in attempts[:2]] == [False, True]
+        assert attempts[0][0] == pytest.approx(1.01 * start, rel=1e-15)
+        assert attempts[1][0] == pytest.approx(1.08 * start, rel=1e-15)
+        assert upper <= lower * (1.0 + numkit.CERTIFIED_TOL)
+        assert upper >= sigma and lower <= sigma * (1.0 + 1e-14)
+
+    def test_inverse_step_can_close_the_bracket(self, monkeypatch):
+        # A = 2I: every x has ||Ax|| = 2 ||x||, so one inverse step raises
+        # lower from its start to the norm.  The first t, 5e-9 above the norm,
+        # is certified, and that step closes the bracket before any other try
+        col = np.zeros(16)
+        col[0] = 2.0
+        start = 2.0 * (1.0 + 5e-9) / 1.01
+        (lower, upper), attempts = self.attempts_from(col, start, monkeypatch)
+        assert attempts == [(start * (1.0 + 1e-2), True)]
+        assert upper == start * (1.0 + 1e-2)
+        assert lower == pytest.approx(2.0, rel=1e-15)
+
     def test_step_cap_raises(self, monkeypatch):
         monkeypatch.setattr(numkit, "INVERSE_ITERATION_CAP", 2)
         sigma = lapack_norm(titchmarsh_residual(120))
@@ -584,19 +631,24 @@ class TestCertifiedNorm:
         assert 0.0 < info.value.last_value <= sigma
 
     def test_titchmarsh_rungs_take_the_pinned_steps(self, monkeypatch):
-        # after a failed attempt B is factored at `upper` again, so the
-        # inverse step solves with B(upper), not with the failed attempt's
-        # partial factor: the rungs take 10, 10 and 8 substitutions and 15, 16
-        # and 12 factorizations; stepping with the partial factor takes 13, 14
-        # and 12 substitutions and 14, 15 and 13 factorizations
+        # after an attempt fails at pivot j, columns 0..j-1 are factored at
+        # `upper` again, so the inverse step solves with B(upper), not with the
+        # failed attempt's partial factor: the rungs take 10, 10 and 8
+        # substitutions and 15, 16 and 12 factorizations; stepping with the
+        # partial factor takes 13, 14 and 12 substitutions and 14, 15 and 13
+        # factorizations
         counts = {}
+        factorizations = []
 
         def counted(name):
             original = getattr(numkit, name)
 
             def call(*args):
                 counts[name] += 1
-                return original(*args)
+                result = original(*args)
+                if name == "_cholesky_in_place":
+                    factorizations.append((args[2], args[3], result))
+                return result
 
             monkeypatch.setattr(numkit, name, call)
 
@@ -605,8 +657,22 @@ class TestCertifiedNorm:
         steps = []
         for n in (120, 240, 480):
             counts.update(_substitute=0, _cholesky_in_place=0)
+            factorizations.clear()
             certified_toeplitz_norm(titchmarsh_residual(n)[:, 0])
             steps.append((counts["_substitute"], counts["_cholesky_in_place"]))
+            # an attempt asks for all n columns; a refactor follows each failed
+            # attempt once a t is certified, at the last certified t, and asks
+            # for the columns that attempt wrote, all of which succeed
+            upper, refactors = None, 0
+            for (t, columns, done), previous in zip(factorizations,
+                                                    [None] + factorizations[:-1]):
+                if columns == n:
+                    upper = t if done == n else upper
+                    continue
+                refactors += 1
+                assert previous[1] == n and columns == previous[2] < n
+                assert t == upper and done == columns
+            assert refactors > 0
         assert steps == [(10, 15), (10, 16), (8, 12)]
 
     def test_column_entry_point_checks_its_input(self):
@@ -695,11 +761,12 @@ class TestJacobiSvd:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    def test_sweep_cap_raises_convergence_error(self):
+    def test_sweep_cap_raises_convergence_error(self, monkeypatch):
         rng = np.random.default_rng(10)
         a = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        with pytest.raises(ConvergenceError) as caught:
-            jacobi_svd(a, max_sweeps=1)
+        monkeypatch.setattr(numkit, "JACOBI_MAX_SWEEPS", 1)
+        with pytest.raises(ConvergenceError, match="within 1 sweeps") as caught:
+            jacobi_svd(a)
         assert math.isfinite(caught.value.last_value)
         assert caught.value.last_value > 0.0
 
@@ -803,6 +870,28 @@ class TestFindRoot:
     def test_linear(self):
         assert find_root(lambda x: x, (-1.0, 1.0), 1e-12) == 0.0
 
+    def test_exact_zero_at_a_bracket_end(self):
+        # an end where f vanishes is the root; the sign test would refuse it
+        f = lambda x: x - 0.25
+        assert find_root(f, (0.25, 1.0), 1e-12) == 0.25
+        assert find_root(f, (-1.0, 0.25), 1e-12) == 0.25
+
+    def test_bracket_of_adjacent_floats(self):
+        # no float lies between the ends, so the midpoint rounds onto one of
+        # them: bisection stops there, with |f| above tol at both ends, and
+        # returns the midpoint
+        lo, hi = 1.0, math.nextafter(1.0, 2.0)
+        f = lambda x: 1e6 * (x - 1.0 - 1e-16)
+        assert find_root(f, (lo, hi), 1e-12) == 0.5 * (lo + hi)
+
+    def test_steep_root_stops_at_resolution(self):
+        # x^2 = 2 has no float root and 1e6 (x^2 - 2) exceeds tol at every
+        # float, so bisection stops on the width alone, a few ulps wide
+        f = lambda x: 1e6 * (x * x - 2.0)
+        root = find_root(f, (1.0, 2.0), 1e-12)
+        assert abs(root - math.sqrt(2.0)) <= 8.0 * np.finfo(float).eps
+        assert abs(f(root)) > 1e-12
+
     def test_no_sign_change(self):
         with pytest.raises(ValueError):
             find_root(lambda x: 1.0 + x * x, (0.0, 1.0), 1e-10)
@@ -821,6 +910,12 @@ class TestFindRoot:
         tol = 1e-12
         for f, bracket, slope in problems:
             assert abs(f(find_root(f, bracket, tol))) <= 10.0 * tol * max(1.0, slope)
+
+
+NORMS = {"dense": lambda **kw: operator_norm(np.tril(np.ones((8, 8))), **kw),
+         "toeplitz": lambda **kw: toeplitz_operator_norm(np.ones(8), **kw)}
+BAD_ARGS = {"restarts0": {"restarts": 0}, "restarts-1": {"restarts": -1},
+            "tol-below-eps-n": {"tol": 1e-16}, "tol-nan": {"tol": float("nan")}}
 
 
 class TestToeplitzNorm:
@@ -844,28 +939,26 @@ class TestToeplitzNorm:
     def test_zero_column(self):
         assert toeplitz_operator_norm(np.zeros(8)) == 0.0
 
-    @pytest.mark.parametrize("norm", [
-        lambda **kw: operator_norm(np.tril(np.ones((8, 8))), **kw),
-        lambda **kw: toeplitz_operator_norm(np.ones(8), **kw),
-    ], ids=["dense", "toeplitz"])
-    @pytest.mark.parametrize("bad", [{"restarts": 0}, {"restarts": -1}, {"tol": 1e-16},
-                                     {"tol": float("nan")}, {"max_iter": 0}],
-                             ids=["restarts0", "restarts-1", "tol-below-eps-n",
-                                  "tol-nan", "max-iter-0"])
+    # only the Toeplitz norm takes restarts
+    @pytest.mark.parametrize("norm, bad", [
+        pytest.param(NORMS[norm], BAD_ARGS[bad], id=f"{bad}-{norm}")
+        for bad in BAD_ARGS for norm in NORMS
+        if norm == "toeplitz" or "restarts" not in BAD_ARGS[bad]])
     def test_both_entry_points_reject_bad_iteration_args(self, norm, bad):
         with pytest.raises(ValueError):
             norm(**bad)
 
     @pytest.mark.parametrize("norm", [
-        lambda: operator_norm(np.tril(np.full((8, 8), 1e300)), max_iter=1),
-        lambda: toeplitz_operator_norm(np.full(8, 1e300), max_iter=1),
-        lambda: toeplitz_operator_norm(1e300 * fft_column(64), max_iter=1),
+        lambda: operator_norm(np.tril(np.full((8, 8), 1e300))),
+        lambda: toeplitz_operator_norm(np.full(8, 1e300)),
+        lambda: toeplitz_operator_norm(1e300 * fft_column(64)),
     ], ids=["dense", "toeplitz-runs", "toeplitz-fft"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_both_entry_points_refuse_an_overflow_at_once(self, norm):
+    def test_both_entry_points_refuse_an_overflow_at_once(self, norm, monkeypatch):
         # ||A* A v|| is about 1e600 at the first step; with a cap of one step
         # the refusal is not a ConvergenceError after NaN steps, and numpy
         # warns of no overflow the refusal already names
+        monkeypatch.setattr(numkit, "POWER_ITERATION_CAP", 1)
         with pytest.raises(ValueError, match="overflows"):
             norm()
 
@@ -897,8 +990,8 @@ class TestToeplitzNorm:
         n = col.size
         idx = np.arange(n)[:, None] - np.arange(n)[None, :]
         dense = np.where(idx >= 0, col[np.clip(idx, 0, n - 1)], 0.0)
-        assert toeplitz_operator_norm(col, tol=1e-12, restarts=3) == pytest.approx(
-            operator_norm(dense, tol=1e-12, restarts=3), abs=1e-12)
+        assert toeplitz_operator_norm(col, tol=1e-12) == pytest.approx(
+            operator_norm(dense, tol=1e-12), abs=1e-12)
 
     @settings(deadline=None, derandomize=True, max_examples=40)
     @given(st.integers(1, 512), st.booleans(), st.integers(0, 2**32 - 1))
@@ -922,7 +1015,7 @@ class TestToeplitzNorm:
         col = member(np.random.default_rng(seed), kind, n, is_complex, column=True)
         kw = {"tol": tol, "restarts": restarts}
         assert toeplitz_operator_norm(col, **kw) == sequential_toeplitz_operator_norm(col, **kw)
-        assert outcome(lambda: toeplitz_operator_norm(col, max_iter=2, **kw)) == outcome(
+        assert capped(lambda: toeplitz_operator_norm(col, **kw)) == outcome(
             lambda: sequential_toeplitz_operator_norm(col, max_iter=2, **kw))
 
     @pytest.mark.parametrize("n", [2**14, 2**15])
@@ -935,7 +1028,7 @@ class TestToeplitzNorm:
             col = col * np.exp(0.5j * np.arange(n))
         kw = {"tol": 1e-10, "restarts": 2}
         assert toeplitz_operator_norm(col, **kw) == sequential_toeplitz_operator_norm(col, **kw)
-        assert outcome(lambda: toeplitz_operator_norm(col, max_iter=2, **kw)) == outcome(
+        assert capped(lambda: toeplitz_operator_norm(col, **kw)) == outcome(
             lambda: sequential_toeplitz_operator_norm(col, max_iter=2, **kw))
 
     def test_power_step_allocates_nothing(self):
@@ -989,7 +1082,7 @@ class TestToeplitzNorm:
         assert runs is not None and (kind == "notell1" or runs[0] == starts)
         kw = {"tol": 1e-10, "restarts": restarts}
         assert toeplitz_operator_norm(col, **kw) == sequential_toeplitz_operator_norm(col, **kw)
-        assert outcome(lambda: toeplitz_operator_norm(col, max_iter=2, **kw)) == outcome(
+        assert capped(lambda: toeplitz_operator_norm(col, **kw)) == outcome(
             lambda: sequential_toeplitz_operator_norm(col, max_iter=2, **kw))
 
     @pytest.mark.parametrize("product", ["run", "fft"])
@@ -1105,6 +1198,5 @@ class TestToeplitzNorm:
         col = parse_kernel_spec(spec, n).mu
         assume(numkit._runs(col, fft_length(n)) is not None)
         # the same seeded starts and stopping rule: the two settle together
-        kw = {"tol": 1e-10, "restarts": 3}
-        assert toeplitz_operator_norm(col, **kw) == pytest.approx(
-            operator_norm(_toeplitz(col), **kw), rel=1e-10, abs=1e-300)
+        assert toeplitz_operator_norm(col, tol=1e-10) == pytest.approx(
+            operator_norm(_toeplitz(col), tol=1e-10), rel=1e-10, abs=1e-300)

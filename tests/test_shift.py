@@ -421,6 +421,15 @@ class TestInequivalence:
         assert rep.passed
         assert rep.value("ratio") >= math.sqrt(2.0 / 3.0) * 4.0
 
+    def test_e0_norm_is_the_rounded_root_of_n(self):
+        # column 0 of p_n(T) holds n ones: its squared sum is exactly n, so
+        # the flag compares ||p_n(T) e_0|| with sqrt(n) for equality
+        for n in range(1, 257):
+            p = polynomial_in(build_shift(ones_weights(2 * n), 2 * n), np.ones(n))
+            assert vector_norm_at_e0(p) == math.sqrt(n)
+        for n in (1, 2, 7, 64):
+            assert dict(inequivalence(nmax=n).flags)["e0_closed_form_matches"]
+
     @pytest.mark.parametrize("perturbation", [0.0, 1e-12])
     def test_spread_slack_is_relative(self, perturbation, monkeypatch):
         # at n = 500 the spread image lands 1.5e-12 (3.6e-15 relative) from

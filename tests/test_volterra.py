@@ -654,6 +654,8 @@ class TestIdealRestriction:
         f = kernel_step([(0.5, 1.0, 1.0)], n)
         g = kernel_step([(0.5, 1.0, -1.0)], n)
         assert np.all(cauchy(g.mu, f.mu) == 0.0)
+        # the zero kernel vanishes below every x0: its support starts at 1
+        assert SampledKernel(cauchy(g.mu, f.mu)).support_start == 1.0
 
     def test_trivial_ideal(self):
         # x0 = 0 is the whole algebra: a product of kernels supported from 0
