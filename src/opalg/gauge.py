@@ -67,8 +67,9 @@ def fourier_coefficients(a, grid: CircleGrid, t) -> np.ndarray:
 
     Computes (1/M) sum_m gauge_conjugate(S, lam_m) * lam_m^(-k) -- which equals
     coeff(k) * T^k whenever M >= 2N -- then divides on the first largest-
-    magnitude entry of T^k's band (`shift._bands`), t being S's N x N truncation;
-    an entry below the smallest normal float is refused.  Entry k-1 is coeff(k).
+    magnitude entry of T^k's band (`shift._bands`), t being S's N x N truncation,
+    a subnormal entry included; a band that underflowed to zero is refused.
+    Entry k-1 is coeff(k).
     """
     a, n, m = np.asarray(a), t.dim, grid.node_count
     if a.shape != (n, n) or m < 2 * n:
@@ -82,14 +83,16 @@ def fourier_coefficients(a, grid: CircleGrid, t) -> np.ndarray:
     weights = nodes[None, :] ** (-np.arange(1, n)[:, None])
     integrals = np.tensordot(weights, conjugates, axes=(1, 0))
     integrals /= m  # in place: a second (N-1, N, N) array would set the peak
-    coeffs = np.empty(n - 1, dtype=complex)
+    pairs = np.empty((2, n - 1), dtype=complex)  # the integrals, then their divisors
     for k, (cells, band) in enumerate(shift._bands(t, n - 1), start=1):
         j = int(np.argmax(np.abs(band)))
-        if abs(band[j]) < np.finfo(float).tiny:
-            raise ValueError(f"T^{k} at truncation dim {n} has largest entry {abs(band[j]):.3g}, "
-                             f"below the smallest normal float; cannot divide it out")
-        coeffs[k - 1] = integrals[k - 1].ravel()[cells][j] / band[j]
-    return coeffs
+        if band[j] == 0:
+            raise ValueError(f"T^{k} at truncation dim {n} is zero: its weight products "
+                             f"underflowed, so its coefficient cannot be divided out")
+        pairs[:, k - 1] = integrals[k - 1].ravel()[cells][j], band[j]
+    # divide with both scaled by the power of two that brings each |divisor| into [1/2, 1)
+    num, den = np.ldexp(pairs.view(float), -np.frexp(np.abs(pairs[1]))[1].repeat(2)).view(complex)
+    return num / den
 
 
 def fejer_coefficients(coeffs, n: int) -> np.ndarray:

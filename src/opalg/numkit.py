@@ -97,11 +97,6 @@ class CircleGrid:
         return np.exp(2j * np.pi * np.arange(m) / m)
 
 
-def _validate_finite(a: np.ndarray):
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains NaN or Inf entries")
-
-
 def _row_norms(x: np.ndarray) -> list:
     """Euclidean norm of each row of a 2-D array, as a list of floats.  A row
     of at most _DOT_CHUNK entries gets the bits of `np.linalg.norm`, without
@@ -125,6 +120,29 @@ def _row_norms(x: np.ndarray) -> list:
         re, im = x.real, x.imag
         return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im)).tolist()
     return np.sqrt(np.vecdot(x, x)).tolist()
+
+
+def _rescaled(stack: np.ndarray):
+    """(2^-e A for each operand A along the first axis of `stack`, the list of
+    exponents e): e is 0 while A's largest real or imaginary part x lies in
+    [2^-200, 2^200], where power iteration's squares, at most (N x)^4, stay
+    normal for N < 2^55, and otherwise brings x into [1/2, 1).  A power of two
+    scales products, sums and roots exactly (Higham 2002, ch. 3), so 2^e times
+    the norm of 2^-e A has the same bits and steps at every scale.  x is read
+    by max and min reductions, and only a stack with an operand out of that
+    band is copied.  A NaN or inf entry raises ValueError."""
+    axes = tuple(range(1, stack.ndim))
+    parts = (stack.real, stack.imag) if stack.dtype.kind == "c" else (stack,)
+    bounds = [b.tolist() for p in parts for b in (p.max(axis=axes), p.min(axis=axes))]
+    if not all(abs(b) < math.inf for row in bounds for b in row):
+        raise ValueError("an entry is NaN or Inf")
+    e = [0 if 2.0**-200 <= x <= 2.0**200 else math.frexp(x)[1]
+         for x in (max(map(abs, row)) for row in zip(*bounds))]
+    if any(e):
+        stack = np.empty_like(stack)  # `parts` still views the operands
+        for p, out in zip(parts, (stack.real, stack.imag)):
+            np.ldexp(p, -np.reshape(e, (-1,) + (1,) * len(axes)), out=out)
+    return stack, e
 
 
 def _block_rows(row_bytes: int) -> int:
@@ -156,9 +174,10 @@ def _check_tol(tol: float, n: int):
         raise ValueError(f"tol={tol} below machine resolution eps*N at N={n}")
 
 
-def _power_iterate(bind, operators, n, row_bytes, complex_start, tol, restarts, label):
-    """Shared power-iteration core on A*A with seeded restarts, for
-    `operators` operators of dimension n.  Returns one norm per operator.
+def _power_iterate(bind, exponents, n, row_bytes, complex_start, tol, restarts, label):
+    """Shared power-iteration core on A*A with seeded restarts, for operators
+    2^-e A of dimension n, one per e of `exponents` (`_rescaled`).  Returns
+    2^e times the norm of each, inf past the float range.
 
     The iterates s_k = ||A v_k|| increase monotonically towards the norm; a
     run terminates once the relative iterate change stays below tol for three
@@ -174,8 +193,7 @@ def _power_iterate(bind, operators, n, row_bytes, complex_start, tol, restarts, 
     vanishes.  Each row takes exactly the steps, and gets exactly the bits,
     of a one-vector loop over that restart alone; a ConvergenceError carries
     the estimate of the first row still running, the restart such a loop
-    would have failed on.  A row norm that is inf or NaN raises ValueError at
-    once, numpy's overflow warnings silenced: every later step would be NaN.
+    would have failed on, times 2^e.
 
     `bind(ops)` takes the operator index of each row of a block and returns
     the block's (matvec, rmatvec) pair; it is called again, after the
@@ -190,53 +208,51 @@ def _power_iterate(bind, operators, n, row_bytes, complex_start, tol, restarts, 
     _check_tol(tol, n)
     if restarts < 1:
         raise ValueError("restarts must be positive")
-    total = operators * restarts
+    total = len(exponents) * restarts
     sigmas = [0.0] * total
     per_block = _block_rows(row_bytes)
     matvec = rmatvec = None
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
-        for first in range(0, total, per_block):
-            live = list(range(first, min(first + per_block, total)))
-            v = _starts(n, [row % restarts + 1 for row in live], complex_start)
-            sigma = [0.0] * len(live)
-            settled = [0] * len(live)
-            for _ in range(POWER_ITERATION_CAP):
-                if matvec is None:
-                    matvec, rmatvec = bind([row // restarts for row in live])
-                w = matvec(v)
-                s = _row_norms(w)
-                z = rmatvec(w)
-                nz = _row_norms(z)
-                keep = []
-                for i, row in enumerate(live):
-                    if not (s[i] < math.inf and nz[i] < math.inf):  # inf or NaN
-                        raise ValueError(f"{label} overflows: ||A v|| = {s[i]!r}, ||A* A v|| = "
-                                         f"{nz[i]!r}; the operand is too large to norm")
-                    if s[i] == 0.0 or nz[i] == 0.0:
-                        sigmas[row] = s[i]
-                        continue
-                    settled[i] = settled[i] + 1 if abs(s[i] - sigma[i]) <= tol * s[i] else 0
-                    sigma[i] = s[i]
-                    if settled[i] >= 3:
-                        sigmas[row] = s[i]
-                    else:
-                        keep.append(i)
-                if len(keep) < len(live):
-                    # drop the block's operands before `bind` builds the next ones
-                    matvec = rmatvec = None
-                    if not keep:
-                        v = w = z = None  # and its iterates before `_starts` draws the next
-                        break
-                    live = [live[i] for i in keep]
-                    sigma = [sigma[i] for i in keep]
-                    settled = [settled[i] for i in keep]
-                    nz = [nz[i] for i in keep]
-                    v = z = z[keep]  # a copy, free to take the next iterates
-                np.divide(z, np.array(nz)[:, None], out=v)
-            else:
-                raise ConvergenceError(
-                    f"{label} did not settle within {POWER_ITERATION_CAP} iterations", sigma[0])
-    return [max(0.0, *sigmas[k:k + restarts]) for k in range(0, total, restarts)]
+    for first in range(0, total, per_block):
+        live = list(range(first, min(first + per_block, total)))
+        v = _starts(n, [row % restarts + 1 for row in live], complex_start)
+        sigma = [0.0] * len(live)
+        settled = [0] * len(live)
+        for _ in range(POWER_ITERATION_CAP):
+            if matvec is None:
+                matvec, rmatvec = bind([row // restarts for row in live])
+            w = matvec(v)
+            s = _row_norms(w)
+            z = rmatvec(w)
+            nz = _row_norms(z)
+            keep = []
+            for i, row in enumerate(live):
+                if s[i] == 0.0 or nz[i] == 0.0:
+                    sigmas[row] = s[i]
+                    continue
+                settled[i] = settled[i] + 1 if abs(s[i] - sigma[i]) <= tol * s[i] else 0
+                sigma[i] = s[i]
+                if settled[i] >= 3:
+                    sigmas[row] = s[i]
+                else:
+                    keep.append(i)
+            if len(keep) < len(live):
+                # drop the block's operands before `bind` builds the next ones
+                matvec = rmatvec = None
+                if not keep:
+                    v = w = z = None  # and its iterates before `_starts` draws the next
+                    break
+                live = [live[i] for i in keep]
+                sigma = [sigma[i] for i in keep]
+                settled = [settled[i] for i in keep]
+                nz = [nz[i] for i in keep]
+                v = z = z[keep]  # a copy, free to take the next iterates
+            np.divide(z, np.array(nz)[:, None], out=v)
+        else:
+            raise ConvergenceError(
+                f"{label} did not settle within {POWER_ITERATION_CAP} iterations",
+                float(np.ldexp(sigma[0], exponents[live[0] // restarts])))
+    norms = [max(0.0, *sigmas[k:k + restarts]) for k in range(0, total, restarts)]
+    return np.ldexp(norms, exponents).tolist()
 
 
 def _default_tol(n: int) -> float:
@@ -247,9 +263,9 @@ def _default_tol(n: int) -> float:
 def operator_norm(a, tol: float | None = None) -> float | list[float]:
     """Largest singular value by power iteration on A*A.
 
-    Runs three independent iterations seeded 1, 2 and 3 and returns the
-    maximum estimate.  The default tolerance is 1e-13, raised to
-    4*eps*N for large matrices.
+    Runs three independent iterations seeded 1, 2 and 3 on 2^-e A (see
+    `_rescaled`) and returns 2^e times the maximum estimate.  The default
+    tolerance is 1e-13, raised to 4*eps*N for large matrices.
 
     `a` is one square matrix, for which a float is returned, or a stack of
     shape (m, N, N), for which a list of m floats is returned, each equal bit
@@ -265,8 +281,7 @@ def operator_norm(a, tol: float | None = None) -> float | list[float]:
     a = np.asarray(a)
     if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    _validate_finite(a)
-    stack = a if a.ndim == 3 else a[None]
+    stack, exponents = _rescaled(a if a.ndim == 3 else a[None])
     n = a.shape[-1]
     if tol is None:
         tol = _default_tol(n)
@@ -283,7 +298,7 @@ def operator_norm(a, tol: float | None = None) -> float | list[float]:
                 lambda w: np.matmul(bwd, w[:, :, None])[:, :, 0])
 
     norms = _power_iterate(
-        bind, len(stack), n, a.itemsize * n * n if len(stack) > 1 else 16 * n,
+        bind, exponents, n, a.itemsize * n * n if len(stack) > 1 else 16 * n,
         np.iscomplexobj(a), tol, 3, "power iteration")
     return norms if a.ndim == 3 else norms[0]
 
@@ -404,7 +419,6 @@ def certified_toeplitz_norm(first_column) -> tuple[float, float]:
     col = col.astype(np.result_type(col.dtype, np.float64), copy=False)
     if col.dtype not in (np.float64, np.complex128):
         raise ValueError(f"the certificate needs float64 or complex128 entries, got {col.dtype}")
-    _validate_finite(col)
     n = col.size
     resolution = 8.0 * (n + 2) ** 2 * _EPS
     if resolution > CERTIFIED_TOL:
@@ -508,7 +522,8 @@ def jacobi_svd(a, vectors: bool = True):
     # wanted, so one gather and one scatter per round rotate both.
     w = np.empty((n, m + n if vectors else m), dtype=complex)
     w[:, :m] = a.T
-    _validate_finite(w[:, :m])
+    if not np.all(np.isfinite(w[:, :m])):
+        raise ValueError("an entry is NaN or Inf")
     if vectors:
         w[:, m:] = np.eye(n)
     sq = _column_norms_squared(w[:, :m])
@@ -594,7 +609,7 @@ def find_root(f, bracket, tol: float) -> float:
     if not (flo < 0.0 < fhi or fhi < 0.0 < flo):
         raise ValueError("f does not change sign over the bracket")
     while True:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
         if mid <= lo or mid >= hi:
             break
         fmid = f(mid)
@@ -608,7 +623,7 @@ def find_root(f, bracket, tol: float) -> float:
             break
         if hi - lo <= 4.0 * resolution:
             break
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def _runs(col: np.ndarray, length: int):
@@ -689,7 +704,8 @@ def toeplitz_operator_norm(first_column, tol: float | None = None, restarts: int
 
     `volterra.sigma_max` uses it for every Volterra norm above its dense
     crossover, and `notell1` on its 2^20 grid.  Power iteration runs in
-    `_power_iterate` with `operator_norm`'s default `tol` and three restarts.
+    `_power_iterate` on the column scaled as `operator_norm` scales a matrix,
+    with `operator_norm`'s default `tol` and three restarts.
     A real (or integer) column stays float64 and starts from the same real
     seeded vectors as `operator_norm` on the dense real matrix; a complex
     column uses complex starts.  Each product is a run product or an FFT
@@ -744,16 +760,14 @@ def toeplitz_operator_norm(first_column, tol: float | None = None, restarts: int
     factor conj(Ĉ) is not stored: conj(Ĉ) W is computed as conj(Ĉ conj(W))
     with in-place conjugates, the same bits but for the sign of an exact
     zero.  Batched transforms along the last axis give each row the bits of
-    a one-row transform.  Every product runs on the calling thread; from
-    N = 2^14 on, glibc's main arena hands pocketfft's scratch back to the
-    kernel after each transform, so every transform faults it in again.
+    a one-row transform.  Every product runs on the calling thread (README
+    records the page faults that costs from N = 2^14 on).
     """
     col = np.asarray(first_column)
     if col.ndim != 1 or col.size == 0:
         raise ValueError("first_column must be a nonempty vector")
     is_complex = np.iscomplexobj(col)
-    col = np.asarray(col, dtype=complex if is_complex else float)
-    _validate_finite(col)
+    (col,), exponents = _rescaled(np.asarray(col, dtype=complex if is_complex else float)[None])
     n = col.size
     if tol is None:
         tol = _default_tol(n)
@@ -763,7 +777,7 @@ def toeplitz_operator_norm(first_column, tol: float | None = None, restarts: int
     rows = min(max(restarts, 1), _block_rows(16 * n))  # the core rejects restarts < 1
 
     def iterate(bind):
-        return _power_iterate(bind, 1, n, 16 * n, is_complex, tol, restarts,
+        return _power_iterate(bind, exponents, n, 16 * n, is_complex, tol, restarts,
                               "Toeplitz power iteration")[0]
 
     runs = _runs(col, length)

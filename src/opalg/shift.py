@@ -24,22 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import _EPS, _block_rows, _row_norms, cauchy, operator_norm
+from .numkit import _EPS, _block_rows, _rescaled, cauchy, operator_norm
 from .report import ExperimentReport
 
 HARMONIC = "harmonic"
 GEOMETRIC = "geometric"
 ONES = "ones"
 EXPLICIT = "explicit"
-
-# Smallest ||S e_0|| and largest Frobenius norm ||S||_F that `equivalence`
-# norms.  Power iteration squares the entries of S*S v, about ||S||^2 in size,
-# with ||S e_0|| <= ||S|| <= ||S||_F, so between the two their sum of squares
-# stays above 2^-1000, clear of the subnormal range, and below 2^1000 times
-# the dimension, clear of overflow.
-_NORM_FLOOR = 2.0**-250
-_NORM_CEILING = 2.0**250
-
 
 @dataclass(frozen=True)
 class WeightSequence:
@@ -100,15 +91,13 @@ def ones_weights(count: int) -> WeightSequence:
 
 
 def explicit_weights(values) -> WeightSequence:
-    """M = sqrt(sum |a_k|^2), summed with the moduli scaled by the power of
-    two 2^-e that brings the largest into [1/2, 1): no square overflows, and
+    """M = sqrt(sum |a_k|^2), summed on the moduli scaled by the power of two
+    `numkit._rescaled` takes out of an operand: no square overflows, and
     wherever none of the unscaled ones over- or underflows, M has the bits of
-    the unscaled sum's root, the scaling by 4^-e being exact."""
+    the unscaled sum's root."""
     vals = np.asarray(values, dtype=complex)
-    mags = np.abs(vals)
-    _, e = math.frexp(float(np.max(mags, initial=0.0)))
-    return WeightSequence(EXPLICIT, vals,
-                          math.ldexp(math.sqrt(float(np.sum(np.ldexp(mags, -e) ** 2))), e),
+    mags, (e,) = _rescaled(np.abs(vals)[None])
+    return WeightSequence(EXPLICIT, vals, math.ldexp(math.sqrt(float(np.sum(mags**2))), e),
                           _is_decreasing(vals))
 
 
@@ -159,9 +148,13 @@ def _bands(t: ShiftTruncation, d: int):
         band = band[1:] * a[:n - k - 1]
 
 
-def vector_norm_at_e0(s) -> float:
-    """||S e_0||, the Hilbert-space norm of the first column."""
-    return float(np.linalg.norm(np.asarray(s)[:, 0]))
+def vector_norm_at_e0(s) -> float | list[float]:
+    """||S e_0|| of one matrix or (a list) of each matrix of a stack, with the
+    column scaled as `operator_norm` scales an operand (`numkit._rescaled`)."""
+    s = np.asarray(s)
+    cols, exponents = _rescaled(s[..., 0].reshape(-1, s.shape[-2]))
+    norms = [float(np.ldexp(np.linalg.norm(col), e)) for col, e in zip(cols, exponents)]
+    return norms if s.ndim == 3 else norms[0]
 
 
 def polynomial_in(t: ShiftTruncation, coeffs) -> np.ndarray:
@@ -197,10 +190,9 @@ def equivalence(*, dim: int = 32, nmax: int = 100, weights: str = HARMONIC,
     Requires decreasing weights with finite squared l2 mass M^2; the bound
     constant is M/|a_0|.  The polynomials are laid down and normed as stacks,
     each as many N x N matrices as one power-iteration block holds
-    (`numkit._block_rows`), so the family is never laid down whole.  A
-    ||S e_0|| below _NORM_FLOOR, where power iteration on S would underflow
-    to an unconverged ratio, or an ||S||_F above _NORM_CEILING, where it would
-    overflow, is refused before its stack is normed.
+    (`numkit._block_rows`), so the family is never laid down whole.  Both
+    norms scale out a power of two, so the ratios hold at any weight scale,
+    but a p(T) with an overflowing band or a zero ||p(T) e_0|| is refused.
     """
     if nmax < 1:
         raise ValueError("nmax must be positive")
@@ -218,21 +210,13 @@ def equivalence(*, dim: int = 32, nmax: int = 100, weights: str = HARMONIC,
     chunk = _block_rows(16 * dim * dim)
     for first in range(0, nmax, chunk):
         trials = range(first, min(first + chunk, nmax))
-        # an overflow reads inf or nan here, and the ceiling refuses it below
+        # weights of 1e200 hold 1e400 in T^2: the overflow is named below
         with np.errstate(over="ignore", invalid="ignore"):
             family = polynomial_in(t, np.stack([random_polynomial(t, seed, k) for k in trials]))
-            e0_norms = [vector_norm_at_e0(s) for s in family]
-            frobenius = _row_norms(family.reshape(len(family), -1))
-        for trial, e0_norm, fro in zip(trials, e0_norms, frobenius):
-            if not fro <= _NORM_CEILING:
-                raise ValueError(
-                    f"||p(T)||_F at trial {trial} is above 2^250 (it reads {fro:.3g}), where "
-                    f"power iteration on p(T) overflows: the weights are too large to norm")
-            if e0_norm < _NORM_FLOOR:
-                raise ValueError(
-                    f"||p(T) e_0|| = {e0_norm:.3g} at trial {trial} is below 2^-250, where "
-                    f"power iteration on p(T) underflows: the weights are too small to norm")
-        ratios += [nrm / e0_norm for nrm, e0_norm in zip(operator_norm(family), e0_norms)]
+        if not np.all(np.isfinite(family)) or 0.0 in (e0 := vector_norm_at_e0(family)):
+            raise ValueError(f"p(T) at trials {trials[0]}..{trials[-1]} leaves the float range: a "
+                             f"band overflows while it is laid down, or ||p(T) e_0|| is 0")
+        ratios += [nrm / e0_norm for nrm, e0_norm in zip(operator_norm(family), e0)]
     for trial, ratio in enumerate(ratios):
         rep.add(f"ratio_{trial:03d}", ratio)
     worst = max(ratios)
@@ -353,7 +337,8 @@ def neumann_factor_check(coeffs, k: int, t: ShiftTruncation) -> ExperimentReport
     constant term, so it is nilpotent at truncation, and Q + Q R + Q R^2 + ...
     terminates and telescopes to I: (S / lead)(I + R + R^2 + ...) = T^k.  The
     chain runs as Cauchy products on the N - k coefficients of Q and ends in
-    exact zeros; the sum is laid down once and compared with T^k.
+    exact zeros; the sum is compared with T^k band by band (`_bands`), with
+    no matrix laid down.
     """
     n = t.dim
     coeffs = np.asarray(coeffs, dtype=complex)[:n - 1]
@@ -369,10 +354,10 @@ def neumann_factor_check(coeffs, k: int, t: ShiftTruncation) -> ExperimentReport
     for _ in range(n - k - 1):  # R^(N-k) = 0 at this length
         term = cauchy(term, r)
         acc += term
-    tk = t.powers(k)[k - 1]
-    total = polynomial_in(t, np.concatenate([np.zeros(k - 1), acc]))
-    delta = float(np.max(np.abs(total - tk)))
-    scale = float(np.max(np.abs(tk)))
+    bands = [band for _, band in _bands(t, n - 1)][k - 1:]  # T^k, T^(k+1), ...
+    scale = float(np.max(np.abs(bands[0])))
+    acc[0] -= 1.0  # exactly 0: the sum's T^k cancels, and each later band stands alone
+    delta = float(np.max(np.abs(np.repeat(acc, [b.size for b in bands]) * np.concatenate(bands))))
     rep = ExperimentReport("neumann-factor", {"k": k, "dim": n})
     rep.add("normalization_magnitude", abs(lead))
     rep.add("target_scale", scale)

@@ -376,14 +376,12 @@ def notell1(*, dim: int | None = None, nmax: int = 20) -> ExperimentReport:
 
 
 def nilpotency_check(f: SampledKernel, p: int, n: int) -> bool:
-    """True iff the p-th power of the convolution matrix is exactly zero.
-
-    Band arithmetic guarantees this whenever p * floor(alpha * n) >= n for a
-    kernel supported above alpha: the zero band widths add under products,
-    with no rounding involved.
-    """
+    """True iff the p-th power of the convolution matrix is exactly zero,
+    decided on its 0/1 band pattern (`build_vf`'s matrix, turned into it in
+    place): the zero band widths add under products, so V^p = 0 exactly when
+    p d >= N, d the first nonzero cell, at any kernel scale."""
     v = build_vf(f, n).matrix.entries
-    power = np.linalg.matrix_power(v, p)
+    power = np.linalg.matrix_power(np.not_equal(v, 0.0, out=v), p)
     return bool(np.all(power == 0.0))
 
 

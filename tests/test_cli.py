@@ -67,13 +67,17 @@ class TestValidation:
 
     @pytest.mark.parametrize("scale", ["1e-200", "1e-150", "1e-100", "1e-76"])
     def test_equivalence_e0_norm_underflow_named(self, scale, capsys):
-        # ||p(T) e_0|| is about |c_1| a_0.  At 1e-200 it once raised a
-        # ZeroDivisionError; from 1e-100 on, power iteration's ||S*S v||
-        # underflowed to 0 and stopped a row after one step, at a ratio of
-        # about 0.988 instead of 1
+        # ||p(T) e_0|| is about |c_1| a_0.  At 1e-200 it once read 0.0 (and
+        # raised a ZeroDivisionError), and from 1e-100 on power iteration's
+        # ||S*S v|| underflowed to 0 and stopped a row after one step, at a
+        # ratio of about 0.988 instead of 1; a refusal below 2^-250 stood in.
+        # Both norms now scale out a power of two, and p(T) = c_1 a S + ...,
+        # S the unit shift, attains its norm at e_0 up to rounding
         weights = "list:" + ",".join([scale] * 3)
-        assert main(["equivalence", "--dim", "4", "--nmax", "3", "--weights", weights]) == 2
-        assert "where power iteration on p(T) underflows" in capsys.readouterr().err
+        assert main(["equivalence", "--dim", "4", "--nmax", "3", "--weights", weights]) == 0
+        rep = run_experiment(ExperimentConfig("equivalence", dim=4, nmax=3, weights=weights))
+        for trial in range(3):
+            assert rep.value(f"ratio_{trial:03d}") == pytest.approx(1.0, abs=1e-12)
 
     def test_equivalence_small_weights_above_the_floor_converge(self):
         # equal weights a make p(T) = c_1 a T' + O(a^2) with T' the unit
@@ -113,11 +117,29 @@ class TestValidation:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nilpotent_density_overflow_named(self, capsys):
-        # A* A v overflows at the first power step; without the check every
-        # later step is NaN, and power iteration runs to its cap and exits 3.
-        # The check names the overflow, so numpy warns of none.
-        assert main(["nilpotent-density", "--kernel", "const:1e300"]) == 2
-        assert "power iteration overflows" in capsys.readouterr().err
+        # A* A v overflowed at the first power step, which power iteration
+        # once refused (exit 2), and the float powers of the truncation read
+        # NaN.  The norm now scales out a power of two and nilpotency is read
+        # from the band pattern: the claim holds, and numpy warns of nothing
+        assert main(["nilpotent-density", "--kernel", "const:1e300"]) == 0
+        rep = run_experiment(ExperimentConfig("nilpotent-density", kernel="const:1e300"))
+        one = run_experiment(ExperimentConfig("nilpotent-density", kernel="const:1"))
+        assert rep.value("operator_distance") == pytest.approx(
+            1e300 * one.value("operator_distance"), rel=1e-12)
+        assert rep.passed
+
+    @pytest.mark.parametrize("dim", [200, 1000])
+    def test_nilpotent_density_tiny_kernel_distance(self, dim):
+        # the dense norm at 200 cells and the run product at 1000 once read
+        # an operator_distance of 0.0 for 9.958e-302, and exited 0
+        rep = run_experiment(ExperimentConfig("nilpotent-density", dim=dim,
+                                              kernel="const:1e-300"))
+        one = run_experiment(ExperimentConfig("nilpotent-density", dim=dim, kernel="const:1"))
+        # approx's default absolute tolerance of 1e-12 would let 0.0 pass
+        assert rep.value("operator_distance") == pytest.approx(9.958e-302, rel=1e-3, abs=0.0)
+        assert rep.value("operator_distance") == pytest.approx(
+            1e-300 * one.value("operator_distance"), rel=1e-12, abs=0.0)
+        assert rep.passed
 
     def test_quasinilpotence_increasing_list_rejected(self, capsys):
         # beta_n reads the sup at k = 0 only for decreasing weights; an

@@ -79,18 +79,27 @@ class TestFourierCoefficients:
     # subnormal 2^-1035 = 2.7e-312, and T^47 underflows to 0.0
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_vanished_power_rejected(self):
-        # T^47 is zero at dim 48, but the subnormal T^46 before it is refused first
-        with pytest.raises(ValueError, match=r"T\^46 at truncation dim 48 has largest "
-                                             r"entry 2.72e-312"):
+        # the subnormal T^46 divides out; the zero T^47 cannot
+        with pytest.raises(ValueError, match=r"T\^47 at truncation dim 48 is zero"):
             fejer(weights="geometric:0.5", dim=48)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_subnormal_power_rejected(self):
-        # dividing by 2.7e-312 overflowed to inf and NaN, which the norm refused
-        with pytest.raises(ValueError, match=r"T\^46 at truncation dim 47 has largest "
-                                             r"entry 2.72e-312"):
-            fejer(weights="geometric:0.5", dim=47)
-        assert fejer(weights="geometric:0.5", dim=46).passed
+        # dividing by 2.7e-312 once overflowed to inf and NaN, and such a
+        # divisor was refused.  The integral and the divisor are now scaled
+        # by one power of two, so T^46's exact-zero integral gives c_46 = 0
+        assert fejer(weights="geometric:0.5", dim=47).passed
+        t = build_shift(parse_weight_spec("geometric:0.5", 47), 47)
+        s = polynomial_in(t, random_polynomial(t, 0, 0, 8))
+        series = fourier_coefficients(s, CircleGrid(94), t)
+        assert np.all(series[8:] == 0.0)
+        # and a coefficient on the subnormal band itself is read back to the
+        # 39 bits a 2^-1035 entry keeps
+        c = np.zeros(46, dtype=complex)
+        c[45] = 0.75 - 0.5j
+        series = fourier_coefficients(polynomial_in(t, c), CircleGrid(94), t)
+        assert series[45] == pytest.approx(c[45], rel=1e-9)
+        assert np.all(series[:45] == 0.0)
 
     def test_small_grid_rejected(self, harmonic8):
         with pytest.raises(ValueError):

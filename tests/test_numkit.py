@@ -63,10 +63,23 @@ def _norm(x):
     return math.sqrt(squares)
 
 
+def rescaled(x):
+    """(2^-e x, e) for the exponent e numkit's norms take out of an operand:
+    0 while its largest real or imaginary part lies in [2^-200, 2^200], and
+    otherwise the exponent that brings that part into [1/2, 1)."""
+    top = max(np.max(np.abs(x.real)), np.max(np.abs(x.imag)))
+    e = 0 if top == 0.0 or 2.0**-200 <= top <= 2.0**200 else math.frexp(top)[1]
+    if np.iscomplexobj(x):
+        return np.ldexp(x.real, -e) + 1j * np.ldexp(x.imag, -e), e
+    return np.ldexp(x, -e), e
+
+
 def sequential_power_iterate(matvec, rmatvec, n, complex_start, tol, restarts,
-                             max_iter, label):
+                             max_iter, label, exponent=0):
     """The one-vector power-iteration loop the block core replaced, kept
-    verbatim as the reference its results must equal bit for bit."""
+    verbatim as the reference its results must equal bit for bit, on an
+    operand scaled by 2^-exponent (`rescaled`): its norm and the last
+    iterate of a ConvergenceError are scaled back."""
     best = 0.0
     for restart in range(1, restarts + 1):
         rng = np.random.default_rng(restart)
@@ -97,19 +110,21 @@ def sequential_power_iterate(matvec, rmatvec, n, complex_start, tol, restarts,
                 break
         else:
             raise ConvergenceError(
-                f"{label} did not settle within {max_iter} iterations", sigma)
+                f"{label} did not settle within {max_iter} iterations",
+                math.ldexp(sigma, exponent))
         best = max(best, sigma)
-    return best
+    return math.ldexp(best, exponent)
 
 
 def sequential_operator_norm(a, tol=None, max_iter=100_000):
     n = a.shape[0]
     if tol is None:
         tol = max(1e-13, 4.0 * np.finfo(float).eps * n)
+    a, e = rescaled(a)
     adj = a.conj().T.copy()
     return sequential_power_iterate(lambda v: a @ v, lambda w: adj @ w, n,
                                     np.iscomplexobj(a), tol, 3, max_iter,
-                                    "power iteration")
+                                    "power iteration", e)
 
 
 def fft_length(n):
@@ -159,11 +174,12 @@ def sequential_toeplitz_operator_norm(col, tol=None, restarts=3, max_iter=100_00
         tol = max(1e-13, 4.0 * np.finfo(float).eps * n)
     length = fft_length(n)
     is_complex = np.iscomplexobj(col)
+    col, e = rescaled(col)
     if numkit._runs(col, length) is not None:
         return sequential_power_iterate(lambda v: run_product(col, v),
                                         lambda w: run_product(col, w, adjoint=True), n,
                                         is_complex, tol, restarts, max_iter,
-                                        "Toeplitz power iteration")
+                                        "Toeplitz power iteration", e)
     forward, inverse = ((np.fft.fft, np.fft.ifft) if is_complex
                         else (np.fft.rfft, np.fft.irfft))
     chat = forward(col, length)
@@ -179,7 +195,7 @@ def sequential_toeplitz_operator_norm(col, tol=None, restarts=3, max_iter=100_00
 
     return sequential_power_iterate(lambda v: product(chat, v),
                                     lambda w: product(chat_conj, w), n, is_complex,
-                                    tol, restarts, max_iter, "Toeplitz power iteration")
+                                    tol, restarts, max_iter, "Toeplitz power iteration", e)
 
 
 def outcome(thunk):
@@ -199,7 +215,7 @@ def capped(thunk, steps=2):
 def member(rng, kind, n, is_complex, column=False):
     """A random matrix, or Toeplitz first column, of the kind drawn: "zero"
     takes the s = 0 exit and "rank1" settles at once; "tiny" entries (1e-160)
-    leave ||A v|| > 0 but underflow every square of A*A v, the ||z|| = 0 exit."""
+    would underflow every square of A*A v, so the norms scale them by about 2^530."""
     shape = n if column else (n, n)
     x = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if is_complex else 0.0)
     if kind == "zero":
@@ -892,6 +908,13 @@ class TestFindRoot:
         assert abs(root - math.sqrt(2.0)) <= 8.0 * np.finfo(float).eps
         assert abs(f(root)) > 1e-12
 
+    def test_bracket_whose_sum_overflows(self):
+        # 1e308 + 1.7e308 is inf: a midpoint taken as half the sum left the
+        # bracket and ended the loop at once
+        root = find_root(lambda x: x - 1.5e308, (1e308, 1.7e308), 1e293)
+        assert 1e308 < root < 1.7e308
+        assert abs(root - 1.5e308) <= 1e293
+
     def test_no_sign_change(self):
         with pytest.raises(ValueError):
             find_root(lambda x: 1.0 + x * x, (0.0, 1.0), 1e-10)
@@ -949,18 +972,44 @@ class TestToeplitzNorm:
             norm(**bad)
 
     @pytest.mark.parametrize("norm", [
-        lambda: operator_norm(np.tril(np.full((8, 8), 1e300))),
-        lambda: toeplitz_operator_norm(np.full(8, 1e300)),
-        lambda: toeplitz_operator_norm(1e300 * fft_column(64)),
+        lambda c: operator_norm(np.tril(np.full((8, 8), c))),
+        lambda c: toeplitz_operator_norm(np.full(8, c)),
+        lambda c: toeplitz_operator_norm(c * fft_column(64)),
     ], ids=["dense", "toeplitz-runs", "toeplitz-fft"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_both_entry_points_refuse_an_overflow_at_once(self, norm, monkeypatch):
-        # ||A* A v|| is about 1e600 at the first step; with a cap of one step
-        # the refusal is not a ConvergenceError after NaN steps, and numpy
-        # warns of no overflow the refusal already names
-        monkeypatch.setattr(numkit, "POWER_ITERATION_CAP", 1)
-        with pytest.raises(ValueError, match="overflows"):
-            norm()
+    def test_both_entry_points_refuse_an_overflow_at_once(self, norm):
+        # ||A* A v|| of entries near 1e300 is about 1e600: both norms once
+        # refused such an operand.  They now norm it scaled by 2^-998, a
+        # multiple of the unit operand's norm with the same bits, and numpy
+        # warns of no overflow.
+        c = 2.0**997
+        assert c > 1e300
+        assert norm(c) == math.ldexp(norm(1.0), 997)
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(st.sampled_from(["dense", "stack", "runs", "fft"]), st.booleans(),
+           st.integers(-900, 900), st.integers(0, 2**32 - 1))
+    def test_norm_of_a_power_of_two_multiple(self, kind, is_complex, k, seed):
+        # norm(2^k A) = 2^k norm(A) bit for bit, in power iteration's
+        # [2^-200, 2^200] band (where it runs on the operand as given) and
+        # out of it (where both run on one power-of-two multiple)
+        rng = np.random.default_rng(seed)
+        phase = np.exp(0.5j * rng.standard_normal()) if is_complex else 1.0
+        if kind in ("dense", "stack"):
+            a = np.array([member(rng, "gauss", 12, is_complex) for _ in range(3)])
+            a = a if kind == "stack" else a[0]
+            norm = operator_norm
+        else:
+            # a few constant runs take the run product, a grid of distinct cells the FFT
+            a = phase * (np.repeat(rng.standard_normal(6), 8) if kind == "runs"
+                         else fft_column(48))
+            assert (numkit._runs(a, fft_length(a.size)) is None) == (kind == "fft")
+            norm = toeplitz_operator_norm
+        scaled = 2.0**k * a
+        assert np.array_equal(np.ldexp(scaled.real, -k), a.real)  # exact: nothing left the range
+        assert np.array_equal(np.ldexp(scaled.imag, -k), a.imag)
+        got, want = norm(scaled), norm(a)
+        assert got == (np.ldexp(want, k).tolist() if kind == "stack" else math.ldexp(want, k))
 
     @pytest.mark.parametrize("col", [np.random.default_rng(5).standard_normal(40),
                                      np.arange(1, 9)], ids=["float", "int"])

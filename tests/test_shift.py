@@ -285,6 +285,17 @@ class TestVectorNorm:
     def test_zero(self):
         assert vector_norm_at_e0(np.zeros((3, 3))) == 0.0
 
+    @pytest.mark.parametrize("k", [-900, -700, 0, 700, 900])
+    def test_stack_and_any_scale(self, k):
+        # each column's squares once underflowed from about 1e-160 on (the
+        # norm read 0.0 at entries of 1e-200); it now scales out a power of
+        # two, and a stack gives each matrix's norm alone
+        t = build_shift(harmonic_weights(8), 8)
+        family = polynomial_in(t, np.stack([random_polynomial(t, 3, trial) for trial in range(4)]))
+        alone = [vector_norm_at_e0(s) for s in family]
+        assert vector_norm_at_e0(family) == alone
+        assert vector_norm_at_e0(2.0**k * family) == [math.ldexp(nrm, k) for nrm in alone]
+
 
 class TestNormEquivalence:
     def test_harmonic_bound(self):
@@ -317,6 +328,7 @@ class TestNormEquivalence:
         assert explicit_weights(vals).l2_mass == math.sqrt(float(np.sum(np.abs(vals) ** 2)))
 
     @pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_explicit_mass_at_extreme_scales(self, scale, capsys):
         # M = sqrt(sum |a_k|^2) no longer overflows (or underflows): the bound
         # constant M/|a_0| of equal weights is list:1,1,1's, sqrt(3), within
@@ -324,20 +336,47 @@ class TestNormEquivalence:
         w = parse_weight_spec("list:" + ",".join([scale] * 3), 3)
         assert w.l2_mass / abs(complex(w.values[0])) == pytest.approx(math.sqrt(3.0),
                                                                       rel=4e-16)
-        # p(T) still holds a_0 a_1 = 1e400 at 1e200 (1e-400 at 1e-200), past
-        # the float range: the command names the overflow (or the underflow)
+        argv = ["equivalence", "--dim", "4", "--nmax", "3", "--weights",
+                "list:" + ",".join([scale] * 3)]
+        if scale == "1e-200":
+            # T^2 and T^3 underflow to zero, below the rounding of p(T) = c_1 T + ...,
+            # and both norms scale out a power of two: every ratio is 1
+            assert main(argv) == 0
+            return
+        # p(T) holds a_0 a_1 = 1e400 at 1e200, past the float range: the
+        # command names the overflow, and numpy warns of none
+        assert main(argv) == 2
+        assert ("leaves the float range: a band overflows while it is laid down"
+                in capsys.readouterr().err)
+
+    def test_equivalence_e0_norm_of_zero_named(self, capsys):
+        # at the smallest subnormal weight, c_1 a_0 rounds to 0 when both
+        # parts of c_1 lie below 1/2, as at two of seed 0's trials: the ratio
+        # ||p(T)|| / ||p(T) e_0|| is undefined (it once raised a ZeroDivisionError)
         assert main(["equivalence", "--dim", "4", "--nmax", "3", "--weights",
-                     "list:" + ",".join([scale] * 3)]) == 2
-        side = "overflows" if scale == "1e200" else "underflows"
-        assert f"where power iteration on p(T) {side}" in capsys.readouterr().err
+                     "list:5e-324,5e-324,5e-324"]) == 2
+        assert "or ||p(T) e_0|| is 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("scale", ["1e60", "1e100"])
-    def test_equivalence_norm_overflow_named(self, scale, capsys):
-        # the squared mass is finite here, but ||p(T)|| is about a^3 > 2^250;
-        # power iteration once ran 100,000 steps on nan iterates instead
-        assert main(["equivalence", "--dim", "4", "--nmax", "3", "--weights",
-                     "list:" + ",".join([scale] * 3)]) == 2
-        assert "where power iteration on p(T) overflows" in capsys.readouterr().err
+    def test_equivalence_norm_overflow_named(self, scale):
+        # ||p(T)|| is about a^3, past 2^200, where power iteration's squares
+        # once overflowed (and a refusal above 2^250 stood in for it): the
+        # norm now scales out a power of two, and p(T) = c_3 a^3 S^3 + ...,
+        # S the unit shift, attains its norm at e_0 up to rounding
+        rep = equivalence(dim=4, nmax=3, weights="list:" + ",".join([scale] * 3), seed=0)
+        assert rep.passed
+        for trial in range(3):
+            assert rep.value(f"ratio_{trial:03d}") == pytest.approx(1.0, abs=1e-12)
+
+    def test_geometric_half_powers_norm_to_their_band_maxima(self):
+        # T^k is one band, so ||T^k|| is its largest modulus, 2^-(k(k-1)/2)
+        # here.  Below about 1e-77 power iteration once read 0.1998 of it
+        # (T^24..T^33) and 0.0 from T^34 on; T^47 underflows to zero
+        t = build_shift(geometric_weights(0.5, 48), 48)
+        maxima = [float(np.max(np.abs(band))) for _, band in shift._bands(t, 47)]
+        assert maxima[45] > 0.0 == maxima[46]
+        for k, (nrm, top) in enumerate(zip(operator_norm(t.powers(47)), maxima), start=1):
+            assert abs(nrm - top) <= 4e-16 * top, k
 
     def test_increasing_weights_refused(self):
         with pytest.raises(ValueError, match="decreasing"):
@@ -518,6 +557,50 @@ class TestNeumannFactor:
         rep = neumann_factor_check(coeffs, k, t)
         assert rep.passed
         assert rep.value("relative_discrepancy") <= 1e-12
+
+
+def laid_down_neumann(coeffs, k, t):
+    """(max_discrepancy, target_scale) of `neumann_factor_check` with the
+    Neumann sum and T^k laid down as matrices and compared entry by entry."""
+    n = t.dim
+    coeffs = np.asarray(coeffs, dtype=complex)[:n - 1]
+    q = _series(coeffs[k:] / coeffs[k - 1], n - k)
+    q[0] = 1.0
+    r = -q
+    r[0] = 0.0
+    acc, term = q.copy(), q
+    for _ in range(n - k - 1):
+        term = cauchy(term, r)
+        acc += term
+    tk = t.powers(k)[k - 1]
+    total = polynomial_in(t, np.concatenate([np.zeros(k - 1), acc]))
+    return float(np.max(np.abs(total - tk))), float(np.max(np.abs(tk)))
+
+
+class TestNeumannBands:
+    @pytest.mark.parametrize("weights", ["harmonic", "geometric:0.5", "geometric:0.9", "ones"])
+    @pytest.mark.parametrize("n", [4, 9, 33, 64])
+    def test_same_bits_as_the_laid_down_sum(self, weights, n):
+        # the sum's T^k cancels exactly and every later band is its own
+        # discrepancy, so reading them from the bands moves no bit
+        t = build_shift(parse_weight_spec(weights, n), n)
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            k = int(rng.integers(1, 4))
+            coeffs = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+            coeffs[:k - 1] = 0.0
+            rep = neumann_factor_check(coeffs, k, t)
+            assert (rep.value("max_discrepancy"), rep.value("target_scale")) == \
+                laid_down_neumann(coeffs, k, t)
+
+    def test_lays_down_no_matrix(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a matrix was laid down")
+
+        monkeypatch.setattr(shift, "polynomial_in", forbidden)
+        monkeypatch.setattr(shift.ShiftTruncation, "powers", forbidden)
+        t = build_shift(harmonic_weights(16), 16)
+        assert neumann_factor_check([0.0, 1.0, 0.5, -0.25], 2, t).passed
 
 
 class TestLowestIndexOfProduct:

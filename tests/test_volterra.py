@@ -487,6 +487,17 @@ class TestNilpotency:
         f = kernel_step([(1.0 / 3.0, 1.0, 1.0)], n)
         assert nilpotency_check(f, 3, n)
 
+    @pytest.mark.parametrize("c", [1e300, 1.0, 1e-300])
+    def test_decided_at_any_kernel_scale(self, c):
+        # decided on the band pattern: the float powers of a 1e300 kernel
+        # read NaN, and those of a 1e-300 kernel underflow to zero, which
+        # once passed the full support's V^8 as nilpotent
+        n = 120
+        f = kernel_step([(1.0 / 3.0, 1.0, c)], n)
+        assert nilpotency_check(f, 3, n)
+        assert not nilpotency_check(f, 2, n)
+        assert not nilpotency_check(kernel_constant(c, n), 8, n)
+
 
 class TestNilpotentApproximation:
     def test_constant_kernel(self):
