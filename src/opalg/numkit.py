@@ -50,8 +50,8 @@ _DOT_CHUNK = 8192
 # at N = 1024, 0.5-1.0 at N = 4096 and above 0.77 from N = 2^14 on.
 _RUN_CROSSOVER = 0.25
 
-# Output entries per chunk of the run product's jump sum: a chunk of the
-# output and the term buffer (256 KiB each on one float row) stay in cache
+# Output entries per chunk of the run product's jump sum: the chunk's
+# accumulator and term buffer (256 KiB each on one float row) stay in cache
 # while every run adds into it.
 _RUN_CHUNK = 32768
 
@@ -629,8 +629,11 @@ def find_root(f, bracket, tol: float) -> float:
 def _runs(col: np.ndarray, length: int):
     """The constant runs of a Toeplitz column as (starts, jumps), two lists
     with col = sum_r jumps[r] 1[i >= starts[r]]; None when the run product
-    would cost more than an FFT product of `length` points (_RUN_CROSSOVER)."""
-    jumps = np.diff(col, prepend=0)
+    would cost more than an FFT product of `length` points (_RUN_CROSSOVER).
+    The jumps take one buffer: `np.diff(col, prepend=0)` copies col first."""
+    jumps = np.empty_like(col)
+    jumps[0] = col[0]
+    np.subtract(col[1:], col[:-1], out=jumps[1:])
     starts = np.flatnonzero(jumps)
     work = col.size * len(starts) - int(starts.sum())
     if work >= _RUN_CROSSOVER * length * (length.bit_length() - 1):
@@ -640,57 +643,57 @@ def _runs(col: np.ndarray, length: int):
 
 def _run_bind(starts: list, jumps: list, n: int, rows: int, dtype):
     """`_power_iterate`'s `bind` for the run product of `toeplitz_operator_norm`
-    on blocks of at most `rows` rows.  The padded sums, the block totals and a
-    term buffer of one chunk are allocated here, once; a product writes A v
-    (or A* w) into the iterate it reads, which `_power_iterate` never reads
-    after the product, and allocates only numpy's 64 KiB buffer for the
-    block-offset add."""
+    (see there) on blocks of at most `rows` rows, its buffers allocated once."""
     width = math.isqrt(n)
     blocks = -(-n // width)
     full = (blocks - 1) * width  # the entries of the blocks before the last
-    sums = np.zeros((rows, blocks * width), dtype=dtype)
     totals = np.empty((rows, blocks - 1), dtype=dtype)
-    term = np.empty((rows, min(n, _RUN_CHUNK)), dtype=dtype)
+    acc, term = np.empty((2, rows, min(n, _RUN_CHUNK)), dtype=dtype)
     first = starts[0] if starts else n  # the outputs before it no run reaches
     forward_runs = list(zip(starts, jumps))
     adjoint_runs = list(zip(starts, np.conj(jumps).tolist()))
 
     def bind(ops):
         k = len(ops)
-        x, tot, t = sums[:k], totals[:k], term[:k]
-        blocked = x.reshape(k, blocks, width)
+        tot, y, t = totals[:k], acc[:k], term[:k]
 
         def product(v, adjoint):
-            # two-level prefix sums, of the reversed row for the adjoint,
-            # straight from the (reversed) view into the sums, no copy; the
-            # last block may be partial, and its padding is never read
+            # prefix sums S (suffix sums R for the adjoint) in place; the last
+            # block may be partial, and a grid of one block has no totals
             u = v[:, ::-1] if adjoint else v
-            np.add.accumulate(u[:, :full].reshape(k, blocks - 1, width), axis=2,
-                              out=blocked[:, :-1])
-            np.add.accumulate(u[:, full:], axis=1, out=x[:, full:n])
-            np.cumsum(blocked[:, :-1, -1], axis=1, out=tot)
-            # each block's offset in one broadcast add (numpy's ufunc buffer, 64 KiB)
-            np.add(blocked[:, 1:], tot[:, :, None], out=blocked[:, 1:])
-            # v is read no more: y[j] = sum_r d_r S[j - s_r] goes into it, and
-            # for the adjoint, with suffix sums R = reversed prefix sums,
-            # y[j] = sum_r conj(d_r) R[j + s_r].  The first run reaches the
-            # most outputs and writes its terms there; no run reaches the rest
-            s = x[:, n - 1::-1] if adjoint else x
-            (v[:, n - first:] if adjoint else v[:, :first]).fill(0.0)
-            for lo in range(0, n, _RUN_CHUNK):
+            blocked = u[:, :full].reshape(k, blocks - 1, width)
+            np.add.accumulate(blocked, axis=2, out=blocked)
+            np.add.accumulate(u[:, full:], axis=1, out=u[:, full:])
+            np.cumsum(blocked[:, :, -1], axis=1, out=tot)
+            # block offsets in one broadcast add over positive strides (on
+            # the reversed view numpy would buffer every operand, not 64 KiB)
+            later, offsets = blocked[:, 1:], tot[:, :-1, None]
+            if adjoint:
+                later, offsets = later[:, ::-1, ::-1], offsets[:, ::-1]
+            np.add(later, offsets, out=later)
+            if blocks > 1:
+                np.add(u[:, full:], tot[:, -1:], out=u[:, full:])
+            # chunks go down for A v and up for A* w, each summed in y and copied
+            # over sums no later chunk reads; the first run missing one misses the rest
+            for lo in range(0, n, _RUN_CHUNK)[::1 if adjoint else -1]:
                 hi = min(lo + _RUN_CHUNK, n)
+                a0, b0 = (lo, min(hi, n - first)) if adjoint else (max(lo, first), hi)
+                if a0 >= b0:
+                    break
                 for r, (start, d) in enumerate(adjoint_runs if adjoint else forward_runs):
-                    # the outputs of this chunk that run `start` reaches;
                     # starts ascend, so the runs after one that misses do too
                     a, b = (lo, min(hi, n - start)) if adjoint else (max(lo, start), hi)
                     if a >= b:
                         break
-                    src = s[:, a + start:b + start] if adjoint else s[:, a - start:b - start]
+                    src = v[:, a + start:b + start] if adjoint else v[:, a - start:b - start]
+                    out = y[:, a - lo:b - lo]
                     if r == 0:
-                        np.multiply(src, d, out=v[:, a:b])
+                        np.multiply(src, d, out=out)
                     else:
                         np.multiply(src, d, out=t[:, :b - a])
-                        np.add(v[:, a:b], t[:, :b - a], out=v[:, a:b])
+                        np.add(out, t[:, :b - a], out=out)
+                v[:, a0:b0] = y[:, a0 - lo:b0 - lo]
+            (v[:, n - first:] if adjoint else v[:, :first]).fill(0.0)
             return v
 
         return (lambda v: product(v, False)), (lambda w: product(w, True))
@@ -711,7 +714,7 @@ def toeplitz_operator_norm(first_column, tol: float | None = None, restarts: int
     column uses complex starts.  Each product is a run product or an FFT
     product, chosen once per call.
 
-    Run product.  One `np.diff` writes the column as c = sum_r d_r 1[i >= s_r],
+    Run product.  `_runs` writes the column as c = sum_r d_r 1[i >= s_r],
     with R runs starting at s_r and jumps d_r, so the matrix is
     sum_r d_r tau_{s_r} P, with P the prefix-sum matrix and tau_s the
     truncated shift by s: the grid form of a step kernel's
@@ -723,13 +726,15 @@ def toeplitz_operator_norm(first_column, tol: float | None = None, restarts: int
     N = 2^20 has 38 runs and about 2N of work, and a product takes about
     9 ms against 120 ms by FFT.  The sums run in two levels: the row is cut
     into nb blocks of width b = isqrt(N), each block is summed in order, and
-    the running sum of the totals of the blocks before it is added to it.
-    The blocks are summed straight from the iterate (or its reversed view)
-    into a buffer padded to nb b entries, the last, partial block on its
-    own; the padding is never read.  The sum
-    over runs is taken _RUN_CHUNK outputs at a time, so that the chunk stays
-    in cache while each run adds into it; every entry still adds its terms
-    in run order, so the chunks change no bit.
+    the running sum of the totals of the blocks before it is added to it,
+    all in place in the iterate (in its reversed view for the adjoint, which
+    leaves R in the iterate's own order).  The sum over runs is taken
+    _RUN_CHUNK outputs at a time in an accumulator of one chunk, which stays
+    in cache while each run adds into it and is then copied over the sums:
+    (A v)_i reads S only up to i and (A* w)_j reads R only from j on, so the
+    chunks go down for A v and up for A* w, and the outputs no run reaches
+    are zero-filled last.  Every entry still adds its terms in run order, so
+    neither the chunks nor their order change a bit.
     With u = eps/2 and gamma_k = k u / (1 - k u), every entry obeys
     |fl(A v) - A v| <= gamma_k (T |v|) with k = b + nb + R + 1, where T is the
     Toeplitz matrix with column sum_r |d_r| 1[i >= s_r] (Higham 2002, ch. 3
@@ -740,13 +745,10 @@ def toeplitz_operator_norm(first_column, tol: float | None = None, restarts: int
     obeys the same bound with T*.  A single `np.cumsum` has k about N + R.
     On `notell1`'s converged iterate, a product is within 5.6e-16 of a
     `np.longdouble` product in the 2-norm, the FFT's within 3.4e-16 and a
-    single cumsum's within 1.8e-14.  The padded sums, the block totals and a
-    term buffer of one chunk are allocated once, and a product writes its
-    result into the iterate it read, once the sums hold all it needs: in each
-    chunk the first run that reaches it writes d_r S there, and only the
-    outputs no run reaches are zero-filled.  So a power step allocates
-    nothing but numpy's 64 KiB buffer for the broadcast add of the block
-    offsets, and holds no output buffer beside the iterate.
+    single cumsum's within 1.8e-14.  The block totals, the accumulator and a
+    term buffer of one chunk are allocated once: no power step holds a sums
+    or output buffer beside the iterate, and on one-row blocks (N >= 2^14) it
+    allocates only numpy's 64 KiB buffer for the block offsets' add.
 
     FFT product.  A causal convolution at a power-of-two length L of at
     least 2N, O(N log N) per product: a real column takes the half-spectrum

@@ -96,6 +96,8 @@ def explicit_weights(values) -> WeightSequence:
     wherever none of the unscaled ones over- or underflows, M has the bits of
     the unscaled sum's root."""
     vals = np.asarray(values, dtype=complex)
+    if vals.size == 0:  # before `_rescaled`'s reductions, which have no identity
+        raise ValueError("weights must be a nonempty vector")
     mags, (e,) = _rescaled(np.abs(vals)[None])
     return WeightSequence(EXPLICIT, vals, math.ldexp(math.sqrt(float(np.sum(mags**2))), e),
                           _is_decreasing(vals))

@@ -379,10 +379,16 @@ def nilpotency_check(f: SampledKernel, p: int, n: int) -> bool:
     """True iff the p-th power of the convolution matrix is exactly zero,
     decided on its 0/1 band pattern (`build_vf`'s matrix, turned into it in
     place): the zero band widths add under products, so V^p = 0 exactly when
-    p d >= N, d the first nonzero cell, at any kernel scale."""
-    v = build_vf(f, n).matrix.entries
-    power = np.linalg.matrix_power(np.not_equal(v, 0.0, out=v), p)
-    return bool(np.all(power == 0.0))
+    p d >= N, d the first nonzero cell, at any kernel scale.  The powers go by
+    squaring, each product clipped back to 0/1, so no count passes N."""
+    square, power = build_vf(f, n).matrix.entries, None  # None stands for V^0 = I
+    np.not_equal(square, 0.0, out=square)
+    while p:
+        if p & 1:
+            power = square if power is None else np.minimum(power @ square, 1.0)
+        if p := p >> 1:
+            square = np.minimum(square @ square, 1.0)
+    return power is not None and not power.any()
 
 
 def nilpotent_approximation(f: SampledKernel, delta: float):

@@ -151,13 +151,16 @@ def run_prefix_sums(x):
 
 def run_product(col, v, adjoint=False):
     """The run product of `toeplitz_operator_norm` on one vector, with fresh
-    arrays: A v = sum_r d_r S[i - s_r], A* w = sum_r conj(d_r) R[j + s_r]."""
+    arrays: A v = sum_r d_r S[i - s_r], A* w = sum_r conj(d_r) R[j + s_r],
+    with the runs read off `np.diff`, whatever the length."""
     n = col.size
-    starts, jumps = numkit._runs(col, fft_length(n))
+    jumps = np.diff(col, prepend=0)
+    starts = np.flatnonzero(jumps)
+    jumps = jumps[starts]
     y = np.zeros(n, dtype=col.dtype)
     if adjoint:
         r = run_prefix_sums(v[::-1])[::-1]
-        for start, d in zip(starts, np.conj(jumps).tolist()):
+        for start, d in zip(starts, np.conj(jumps)):
             y[:n - start] += r[start:] * d
     else:
         s = run_prefix_sums(v)
@@ -1159,23 +1162,24 @@ class TestToeplitzNorm:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # A block is one row.  Live at once: the padded sums (blocks of
-        # isqrt(n) entries), the block totals, the term buffer of one output
-        # chunk (8n bytes here) and one unit iterate (8n bytes), which the
-        # products write into.  `np.diff` before them holds 16n bytes.  Half
-        # an iterate of slack covers the small transients; an output buffer
-        # beside the iterate, or one more 8n array per step, does not fit.
+        # A block is one row.  Live at once: one unit iterate (8n bytes),
+        # which the products take their prefix sums in and write into, the
+        # block totals, and the accumulator and term buffer of one output
+        # chunk (8n bytes each here).  `_runs`' jumps before them hold 8n
+        # bytes.  Half an iterate of slack covers the small transients; a
+        # sums or output buffer beside the iterate, or one more 8n array per
+        # step, does not fit.
         width = math.isqrt(n)
         blocks = -(-n // width)
         assert n == numkit._RUN_CHUNK
-        live = 8 * blocks * width + 8 * (blocks - 1) + 8 * n + 8 * numkit._RUN_CHUNK
+        live = 8 * n + 8 * (blocks - 1) + 16 * numkit._RUN_CHUNK
         assert live <= peak <= live + 4 * n
 
     @pytest.mark.parametrize("nmax", [16, 17], ids=["whole-blocks", "partial-last-block"])
     def test_run_prefix_sums_read_the_iterate_in_place(self, nmax):
         # 2^16 = 256^2 cuts into whole blocks, 2^17 into 362 blocks of 362 and
-        # a partial one; either way the prefix sums read the iterate (and, for
-        # the adjoint, its reversed view) without a copy
+        # a partial one; either way the prefix sums are taken in the iterate
+        # (and, for the adjoint, in its reversed view) without a copy
         mu = kernel_notell1(12, 2**nmax).mu
         n = mu.size
         toeplitz_operator_norm(mu, tol=1e-9, restarts=2)
@@ -1185,18 +1189,60 @@ class TestToeplitzNorm:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # A block is one row.  Live at once: the padded sums and one unit
-        # iterate (about 8n bytes each), which the products write into, the
-        # block totals and the term buffer of one output chunk (at most 4n
-        # bytes here).  `np.diff` before them holds 16n bytes.  Half an
-        # iterate of slack covers the small transients, the 64 KiB buffer of
-        # the broadcast block-offset add among them; a copy of the iterate,
-        # or an output buffer beside it (8n bytes), does not fit.
+        # A block is one row.  Live at once: one unit iterate (8n bytes),
+        # which the products take their prefix sums in and write into, the
+        # block totals, and the accumulator and term buffer of one output
+        # chunk (at most 4n bytes each here).  `_runs`' jumps before them
+        # hold 8n bytes.  Half an iterate of slack covers the small
+        # transients, the 64 KiB buffer of the broadcast block-offset add
+        # among them; a copy of the iterate, or a sums or output buffer
+        # beside it (8n bytes), does not fit.
         width = math.isqrt(n)
         blocks = -(-n // width)
         assert n >= 2 * numkit._RUN_CHUNK
-        live = 8 * blocks * width + 8 * (blocks - 1) + 8 * n + 8 * numkit._RUN_CHUNK
+        live = 8 * n + 8 * (blocks - 1) + 16 * numkit._RUN_CHUNK
         assert live <= peak <= live + 4 * n
+
+    @pytest.mark.parametrize("nmax", [15, 17], ids=["one-chunk", "partial-last-block-chunks"])
+    def test_each_run_product_allocates_one_ufunc_buffer(self, nmax):
+        # A v and A* w each allocate at most numpy's 64 KiB buffer for the
+        # broadcast block-offset add, plus 4 KiB for the views they take: the
+        # adjoint's in-place adds on its reversed view would buffer every
+        # operand (3 x 64 KiB)
+        mu = kernel_notell1(12, 2**nmax).mu
+        n = mu.size
+        matvec, rmatvec = numkit._run_bind(*numkit._runs(mu, fft_length(n)), n, 1, mu.dtype)([0])
+        v = np.random.default_rng(4).standard_normal((1, n))
+        for product in (matvec, rmatvec):
+            product(v)  # warm numpy's ufunc dispatch before measuring
+            tracemalloc.start()
+            try:
+                assert product(v) is v
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 64 * 1024 + 4096
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 3 * 2**15 + 7])
+    @pytest.mark.parametrize("is_complex", [False, True], ids=["real", "complex"])
+    def test_run_products_equal_fresh_array_products(self, n, is_complex):
+        # bit for bit against `run_product` on fresh arrays, on three rows at
+        # once: a grid of one cell is one block, with no block totals; one of
+        # 3 2^15 + 7 cells has four output chunks, taken downwards for A v and
+        # upwards for A* w over the sums they overwrite, and a partial last block
+        rng = np.random.default_rng(n)
+        col = np.repeat(rng.standard_normal(4), np.diff(np.linspace(0, n, 5).astype(int)))
+        col[:n // 3] = 0.0  # no run reaches the first outputs (the adjoint's last)
+        col = col * ((0.6 + 0.8j) if is_complex else 1.0)
+        jumps = np.diff(col, prepend=0)
+        starts = np.flatnonzero(jumps)
+        runs = starts.tolist(), jumps[starts].tolist()
+        assert numkit._runs(col, fft_length(n)) in (None, runs)  # None below the crossover
+        matvec, rmatvec = numkit._run_bind(*runs, n, 3, col.dtype)([0, 0, 0])
+        v = rng.standard_normal((3, n)) + (1j * rng.standard_normal((3, n)) if is_complex else 0.0)
+        for adjoint, product in ((False, matvec), (True, rmatvec)):
+            want = [run_product(col, row, adjoint) for row in v]
+            assert np.array_equal(product(v.copy()), want)
 
     @pytest.mark.parametrize("kind", ["notell1", "complex", "step"])
     def test_run_products_within_derived_bound(self, kind):

@@ -59,6 +59,11 @@ class TestWeightSequences:
         with pytest.raises(ValueError):
             explicit_weights([1.0, 0.0, 2.0])
 
+    def test_empty_weights_rejected_by_name(self):
+        # refused before the mass's max and min reductions, which have no identity
+        with pytest.raises(ValueError, match="^weights must be a nonempty vector$"):
+            explicit_weights([])
+
     def test_geometric_half_cap_named(self):
         # 0.5^k rounds to exactly 0 from k = 1075 on (2^-1075 is half the
         # smallest subnormal), so 1075 weights are the most that can be built

@@ -498,6 +498,20 @@ class TestNilpotency:
         assert not nilpotency_check(f, 2, n)
         assert not nilpotency_check(kernel_constant(c, n), 8, n)
 
+    @pytest.mark.filterwarnings("error")
+    def test_path_counts_stay_exact_at_large_powers(self):
+        # p d = N at N = 1040: the unclipped 0/1 powers hold path counts such
+        # as C(1039, 519), past the float range, and read inf * 0 = NaN
+        n = 1040
+        assert nilpotency_check(kernel_step([(1 / n, 1.0, 1.0)], n), n, n)
+        assert not nilpotency_check(kernel_step([(1 / n, 1.0, 1.0)], n), n - 1, n)
+
+    def test_zeroth_and_first_powers(self):
+        # V^0 is the identity and V^1 the pattern itself: no product is taken
+        f = kernel_step([(0.5, 1.0, 1.0)], 8)
+        assert not nilpotency_check(f, 0, 8)
+        assert not nilpotency_check(f, 1, 8)
+
 
 class TestNilpotentApproximation:
     def test_constant_kernel(self):
